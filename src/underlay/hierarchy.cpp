@@ -79,8 +79,8 @@ void bake_payload(Record& rec, const AsTopology::RouterCsr& g,
 
 /// One star fold: the canonical relaxation of `se` given the parent's
 /// settled dist/row — the only surviving write the flat run would make
-/// for this destination. Used by phase A (member-rooted trees) and
-/// phase C (attachment-rooted trees).
+/// for this destination. Phase C streams these per star group from the
+/// settled attachment.
 inline void fold_star(const HierarchyPlan::StarEdge& se, sim::SimTime* dist,
                       RoutingTable::DestEntry* row) {
   const RoutingTable::DestEntry parent = row[se.parent];
@@ -133,54 +133,6 @@ void run_region(const RegionCsr& r, std::uint32_t seed_local,
   }
 }
 
-/// Records the canonical region Dijkstra from `seed_local` seeded at
-/// distance `seed_value`: the exact loop of run_region — same calendar
-/// queue, same stale check, same strict-< relaxation, same push order —
-/// so every first-achiever parent choice (floating-point ties included)
-/// matches what run_region would produce for the same seeding. Returns
-/// false when any region node is unreachable from the seed. Unlike the
-/// star-margin test this makes no offset-invariance claim: the recording
-/// is only valid for replay at the recorded (seed, seed_value), which is
-/// exactly how phase A uses it — one recording per source, at that
-/// source's fixed entry offset (0 for members, the up-edge weight for
-/// pendants).
-bool record_region(const RegionCsr& r, std::uint32_t seed_local,
-                   sim::SimTime seed_value, const AsTopology::RouterCsr& g,
-                   CalendarQueue& queue, std::vector<sim::SimTime>& tau,
-                   std::vector<std::uint32_t>& prev_edge,
-                   std::vector<std::uint32_t>& prev_parent) {
-  const auto m = static_cast<std::uint32_t>(r.size());
-  tau.assign(m, kUnreachableLatency);
-  prev_edge.assign(m, kNone);
-  prev_parent.assign(m, kNone);
-  tau[seed_local] = seed_value;
-  queue.reset(g.max_weight, r.edge_count() + 1, seed_value);
-  queue.push(seed_value, seed_local);
-  while (queue.size() != 0) {
-    const CalendarQueue::Slot top = queue.pop();
-    const std::uint32_t u_local = top.node;
-    const sim::SimTime u_dist = tau[u_local];
-    if (enc(u_dist) < top.key) continue;  // stale entry
-    const std::uint32_t end = r.offsets[u_local + 1];
-    for (std::uint32_t e = r.offsets[u_local]; e < end; ++e) {
-      const std::uint32_t head = r.head_local[e];
-      const sim::SimTime candidate = u_dist + r.weights[e];
-      if (candidate < tau[head]) {
-        tau[head] = candidate;
-        prev_edge[head] = e;
-        prev_parent[head] = u_local;
-        queue.push(candidate, head);
-      }
-    }
-  }
-  for (std::uint32_t v = 0; v < m; ++v) {
-    if (v != seed_local && tau[v] == kUnreachableLatency) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Builds the local CSR over `nodes` (must be sorted ascending), keeping
 /// only edges whose head is also in the set. `local_of` is a caller-owned
 /// n-sized kNone-filled map; it is restored to kNone before returning.
@@ -211,9 +163,8 @@ RegionCsr build_region(const AsTopology::RouterCsr& g,
 
 /// Full-graph canonical Dijkstra, distances only (landmark rows). The
 /// caller pre-fills `dist` with kUnreachableLatency.
-void dijkstra_dist(const AsTopology::RouterCsr& g, std::size_t n,
-                   std::uint32_t src, double* dist, CalendarQueue& queue) {
-  (void)n;
+void dijkstra_dist(const AsTopology::RouterCsr& g, std::uint32_t src,
+                   double* dist, CalendarQueue& queue) {
   dist[src] = 0.0;
   queue.reset(g.max_weight, g.heads.size() + 1);
   queue.seed(src);
@@ -253,7 +204,6 @@ std::shared_ptr<const HierarchyPlan> HierarchyPlan::build(
   plan->pendant_parent_.assign(n, kNone);
   plan->pendant_up_edge_.assign(n, kNone);
   plan->group_of_.assign(n, kNone);
-  plan->source_tree_first_.assign(n, kNone);
   if (n == 0) return plan;
 
   // Connectivity: one sweep over the (bidirectional) CSR. A connected
@@ -352,7 +302,6 @@ std::shared_ptr<const HierarchyPlan> HierarchyPlan::build(
       min_weight > 0.0;
 
   std::vector<std::uint32_t> local_of(n, kNone);
-  CalendarQueue plan_queue;  // scratch for the member-tree recordings
 
   // Canonical shortest-path tree of region `r` from `seed`, validated
   // against the star-margin property: every settled node's entry edge
@@ -523,25 +472,6 @@ std::shared_ptr<const HierarchyPlan> HierarchyPlan::build(
         ++plan->star_group_count_;
       }
 
-      // Per-member phase A trees, recorded at seed offset 0 — member
-      // sources start their own region at distance exactly 0.
-      // Size-capped (plan memory is O(m²) records per region); a member
-      // whose recording fails (unreachable node) just keeps the
-      // per-source Dijkstra fallback.
-      if (m >= 2 && m <= 1024) {
-        std::vector<sim::SimTime> rec_tau;
-        for (std::uint32_t ms = 0; ms < m; ++ms) {
-          if (ms == group.attachment_local) continue;
-          if (!record_region(r, ms, 0.0, g, plan_queue, rec_tau, prev_edge,
-                             prev_parent)) {
-            continue;
-          }
-          plan->source_tree_first_[r.node_global[ms]] =
-              static_cast<std::uint32_t>(plan->source_tree_edges_.size());
-          emit_tree(r, ms, rec_tau, prev_edge, prev_parent,
-                    plan->source_tree_edges_);
-        }
-      }
       const auto index = static_cast<std::uint32_t>(plan->groups_.size());
       for (const std::uint32_t u : members) plan->group_of_[u] = index;
       plan->groups_.push_back(std::move(group));
@@ -558,37 +488,6 @@ std::shared_ptr<const HierarchyPlan> HierarchyPlan::build(
           StarBlock{gi, grp.attachment, grp.first_star, grp.star_count});
     } else {
       plan->mini_groups_.push_back(gi);
-    }
-  }
-
-  // Per-pendant phase A trees. A pendant source hops onto its gateway h
-  // at dist fl(0 + w) == w, then runs h's region Dijkstra seeded at w —
-  // so its recording is made from h seeded at exactly w. The offset is
-  // baked per pendant (w varies), which is why trees are per *source*
-  // rather than per gateway: replaying a δ=0 recording at δ=w could
-  // break floating-point ties the other way.
-  {
-    std::vector<sim::SimTime> rec_tau;
-    std::vector<std::uint32_t> prev_edge, prev_parent;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      const std::uint32_t h = plan->pendant_parent_[v];
-      if (h == kNone || plan->group_of_[h] == kNone) continue;
-      const Group& grp = plan->groups_[plan->group_of_[h]];
-      const RegionCsr& r = grp.region;
-      const std::size_t m = r.size();
-      if (m < 2 || m > 1024) continue;
-      const auto& nodes = r.node_global;
-      const auto seed_local = static_cast<std::uint32_t>(
-          std::lower_bound(nodes.begin(), nodes.end(), h) - nodes.begin());
-      const sim::SimTime w = g.weights[plan->pendant_up_edge_[v]];
-      if (!record_region(r, seed_local, w, g, plan_queue, rec_tau,
-                         prev_edge, prev_parent)) {
-        continue;
-      }
-      plan->source_tree_first_[v] =
-          static_cast<std::uint32_t>(plan->source_tree_edges_.size());
-      emit_tree(r, seed_local, rec_tau, prev_edge, prev_parent,
-                plan->source_tree_edges_);
     }
   }
 
@@ -620,7 +519,7 @@ std::shared_ptr<const AltLandmarks> AltLandmarks::build(
     lm->ids_.push_back(next);
     lm->dists_.resize(lm->ids_.size() * n, kUnreachableLatency);
     double* row = lm->dists_.data() + std::size_t(k) * n;
-    dijkstra_dist(g, n, next, row, queue);
+    dijkstra_dist(g, next, row, queue);
     // Farthest-point: the next landmark maximizes the distance to the
     // chosen set (reachable routers only; ties to the smallest id).
     next = kNone;
@@ -724,29 +623,20 @@ void RoutingTable::compute_row_hierarchical(std::uint32_t src,
   }
 
   // Phase A: if the seed sits inside a stub group, settle that whole
-  // region first (every path out of the group passes its attachment).
-  // Members with a precomputed fold tree stream it — same bytes as the
-  // region Dijkstra, none of its queue work.
+  // region first (every path out of the group passes its attachment). The
+  // region Dijkstra is seeded at the source's own offset — 0 for a member,
+  // the up-edge weight for a pendant — so every tie breaks as in the flat
+  // run. It runs here, inside the parallel warm, rather than being recorded
+  // per source at plan time: each source replays its tree exactly once per
+  // warm, so a recording would only move the same work onto the serial plan.
   std::uint32_t core_seed = h;
   const std::uint32_t own_group = plan.group_of(h);
   if (own_group != kNone) {
     const HierarchyPlan::Group& grp = plan.groups()[own_group];
-    const std::uint32_t first = plan.source_tree_first(src);
-    if (first != kNone) {
-      const auto mse = plan.source_tree_edges();
-      // A recorded tree always spans the full region (m - 1 non-seed
-      // nodes); star_count is only set for star groups, so don't use it.
-      const std::uint32_t end =
-          first + static_cast<std::uint32_t>(grp.region.size()) - 1;
-      for (std::uint32_t i = first; i < end; ++i) {
-        fold_star(mse[i], dist, row);
-      }
-    } else {
-      const auto& nodes = grp.region.node_global;
-      const auto seed_local = static_cast<std::uint32_t>(
-          std::lower_bound(nodes.begin(), nodes.end(), h) - nodes.begin());
-      run_region(grp.region, seed_local, g, dist, row, s.queue);
-    }
+    const auto& nodes = grp.region.node_global;
+    const auto seed_local = static_cast<std::uint32_t>(
+        std::lower_bound(nodes.begin(), nodes.end(), h) - nodes.begin());
+    run_region(grp.region, seed_local, g, dist, row, s.queue);
     core_seed = grp.attachment;
   }
 

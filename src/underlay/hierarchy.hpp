@@ -159,23 +159,6 @@ class HierarchyPlan {
   [[nodiscard]] std::span<const StarBlock> star_blocks() const {
     return star_blocks_;
   }
-  /// Per-source phase A fold trees: the canonical region Dijkstra a
-  /// source would run over its own stub group, recorded once at plan
-  /// time at the source's exact seed offset (0 for a group member, the
-  /// pendant up-edge weight for a pendant source) and replayed as
-  /// region.size()-1 straight folds. Because the recording uses the same
-  /// calendar queue, stale check, and strict-< relaxation as run_region,
-  /// every parent choice — floating-point ties included — matches the
-  /// run it replaces, so this needs no margin argument. kNone when `src`
-  /// has no recorded tree (not in / not behind a stub group, region too
-  /// big, or a region node was unreachable): phase A then falls back to
-  /// the per-source region Dijkstra.
-  [[nodiscard]] std::uint32_t source_tree_first(std::uint32_t src) const {
-    return source_tree_first_[src];
-  }
-  [[nodiscard]] std::span<const StarEdge> source_tree_edges() const {
-    return source_tree_edges_;
-  }
   /// Indices of non-star (mini-Dijkstra) groups, in groups() order.
   [[nodiscard]] std::span<const std::uint32_t> mini_groups() const {
     return mini_groups_;
@@ -222,8 +205,6 @@ class HierarchyPlan {
   std::vector<StarEdge> star_edges_;
   std::vector<StarBlock> star_blocks_;
   std::vector<std::uint32_t> mini_groups_;
-  std::vector<StarEdge> source_tree_edges_;
-  std::vector<std::uint32_t> source_tree_first_;
   std::vector<PendantDest> pendant_dests_;
   std::vector<PendantCand> pendant_cands_;
   RegionCsr inner_core_;

@@ -181,7 +181,7 @@ class AsTopology {
   [[nodiscard]] const TopologyConfig& config() const { return config_; }
 
   /// Lazily built hierarchical-preprocessing plan (underlay/hierarchy.hpp):
-  /// pendant + stub-group contraction order and the per-source fold trees.
+  /// pendant + stub-group contraction order and the star fold records.
   /// The plan is a pure function of the topology, so it lives here and is
   /// shared by every RoutingTable over this topology — a rebuild (oracle
   /// snapshot refresh, repeated warms in a bench loop) reuses it instead

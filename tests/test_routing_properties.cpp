@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -481,6 +482,60 @@ TEST(RoutingHierarchical, FarMiniGroupSubBucketEdgesMatchFlat) {
   const auto plan = HierarchyPlan::build(topo);
   ASSERT_EQ(1u, plan->group_count());
   ASSERT_EQ(0u, plan->star_group_count());
+  expect_hier_rows_identical(topo);
+}
+
+TEST(RoutingHierarchical, PendantSourcesInTiedStubGroupMatchFlat) {
+  // Phase A for a pendant source seeds its gateway's region Dijkstra at
+  // the up-edge weight, not at 0. Here the gateway's stub group is a 2x3
+  // grid of one-router stub ASes whose peering edges all weigh exactly
+  // 2 ms, so opposite corners are reached by several equal-length paths
+  // and every such tie resolves by settle order alone. The pendants' up
+  // edges (0.1, 0.3, 0.7 ms) are not binary fractions: every sum carries
+  // the offset's rounding, so any tie broken differently from the flat
+  // run changes row bytes.
+  AsTopology topo;
+  const AsId transit = topo.add_as("transit", true, {0, 0});
+  std::vector<RouterId> t;
+  for (int i = 0; i < 3; ++i) t.push_back(topo.add_router(transit, {0, 0}));
+  topo.connect(t[0], t[1], LinkType::kInternal, 5.0, 1000);
+  topo.connect(t[1], t[2], LinkType::kInternal, 5.0, 1000);
+  std::vector<RouterId> s;
+  for (int i = 0; i < 6; ++i) {
+    const AsId as = topo.add_as("stub" + std::to_string(i), false, {0, 10});
+    s.push_back(topo.add_router(as, {0, 10}));
+  }
+  // Grid s0 s1 s2 / s3 s4 s5: every edge 2 ms, attached through s0 only.
+  const std::pair<int, int> grid[] = {{0, 1}, {1, 2}, {3, 4}, {4, 5},
+                                      {0, 3}, {1, 4}, {2, 5}};
+  for (const auto& [a, b] : grid) {
+    topo.connect(s[a], s[b], LinkType::kPeering, 2.0, 100 + 10 * a + b);
+  }
+  topo.connect(t[2], s[0], LinkType::kTransit, 3.0, 1000);
+  // Pendants behind the group: one per member, cycling the offsets, plus
+  // a second pendant on the far corner with two parallel up edges (the
+  // 0.3 ms one wins).
+  const double up[] = {0.1, 0.3, 0.7};
+  std::vector<RouterId> pendants;
+  for (int i = 0; i < 6; ++i) {
+    const AsId as = topo.router(s[i]).as;
+    pendants.push_back(topo.add_router(as, {0, 10}));
+    topo.connect(pendants.back(), s[i], LinkType::kInternal, up[i % 3], 50);
+  }
+  pendants.push_back(topo.add_router(topo.router(s[5]).as, {0, 10}));
+  topo.connect(pendants.back(), s[5], LinkType::kInternal, 0.7, 50);
+  topo.connect(pendants.back(), s[5], LinkType::kInternal, 0.3, 60);
+
+  const auto plan = HierarchyPlan::build(topo);
+  ASSERT_EQ(1u, plan->group_count());
+  ASSERT_EQ(0u, plan->star_group_count())
+      << "the ties must fail the star test";
+  for (const RouterId p : pendants) {
+    const std::uint32_t gateway = plan->pendant_parent(p.value());
+    ASSERT_NE(UINT32_MAX, gateway) << "router " << p.value();
+    ASSERT_NE(UINT32_MAX, plan->group_of(gateway))
+        << "pendant " << p.value() << " must sit behind the stub group";
+  }
   expect_hier_rows_identical(topo);
 }
 
