@@ -4,6 +4,8 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -11,6 +13,8 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -22,7 +26,6 @@
 #include "obs/trace.hpp"
 #include "overlay/gnutella.hpp"
 #include "sim/engine.hpp"
-#include "sim/sharded_engine.hpp"
 #include "underlay/network.hpp"
 #include "underlay/snapshot.hpp"
 
@@ -48,11 +51,6 @@ struct Options {
   /// every RNG stream — the tracediff-self-check gate uses it to prove
   /// that uap2p_tracediff actually detects behavioral divergence.
   std::uint64_t seed_offset = 0;
-  /// --shards=N: per-AS engine shards inside each scenario (conservative
-  /// parallel sync, DESIGN.md "Sharded engine"). 1 (the default) is the
-  /// serial baseline; the sharded-serial-identical gates diff trace and
-  /// metrics between --shards=1 and --shards=4.
-  std::size_t shards = 1;
   /// --snapshot-dir=<dir> (or UAP2P_SNAPSHOT_DIR when the flag is absent):
   /// cache of persistent warmed-routing snapshots, keyed by (generator
   /// name, generator params, topology seed). Empty (the default) disables
@@ -60,8 +58,8 @@ struct Options {
   std::string snapshot_dir;
   /// --metrics-every=<sim ms>: periodic metrics snapshots during the
   /// first trial, written as <dash dir>/metrics_NNNNNN.json every N sim
-  /// milliseconds (one claimant, single-shard runs only — the same
-  /// single-writer rule as --trace). 0 disables.
+  /// milliseconds (one claimant — the same single-writer rule as
+  /// --trace). 0 disables.
   double metrics_every_ms = 0.0;
   /// --dash=<dir>: output directory for the periodic snapshots (and the
   /// natural --out for a follow-up uap2p_dash run). Created on demand.
@@ -73,8 +71,35 @@ inline Options& options() {
   return instance;
 }
 
-/// Parses the shared bench flags (--serial, --metrics=, --trace=); call
-/// first thing in main. Unrecognized arguments are left alone.
+namespace detail {
+/// The whole of `value` as a non-negative decimal T: no whitespace, no
+/// trailing characters, no sign on integers, and finite for floating
+/// point. Anything else prints "error: ..." and exits with status 2, the
+/// usage-error convention of the tools.
+template <typename T>
+T parse_flag_number(std::string_view flag, std::string_view value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [stop, ec] = std::from_chars(value.data(), end, out);
+  bool ok = ec == std::errc() && stop == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(out) && out >= 0.0;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "error: %.*s expects %s, got '%.*s'\n",
+                 static_cast<int>(flag.size()), flag.data(),
+                 std::is_integral_v<T> ? "a non-negative integer"
+                                       : "a finite non-negative number",
+                 static_cast<int>(value.size()), value.data());
+    std::exit(2);
+  }
+  return out;
+}
+}  // namespace detail
+
+/// Parses the shared bench flags (--serial, --metrics=, --trace=, ...);
+/// call first thing in main. Unrecognized arguments are left alone; a
+/// numeric flag whose value does not parse completely exits with status 2.
 inline void parse_flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
@@ -87,15 +112,14 @@ inline void parse_flags(int argc, char** argv) {
       options().trace_path = std::string(arg.substr(8));
     } else if (arg.rfind("--seed-offset=", 0) == 0) {
       options().seed_offset =
-          std::strtoull(std::string(arg.substr(14)).c_str(), nullptr, 10);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      options().shards = std::max<std::size_t>(
-          1, std::strtoull(std::string(arg.substr(9)).c_str(), nullptr, 10));
+          detail::parse_flag_number<std::uint64_t>("--seed-offset",
+                                                   arg.substr(14));
     } else if (arg.rfind("--snapshot-dir=", 0) == 0) {
       options().snapshot_dir = std::string(arg.substr(15));
     } else if (arg.rfind("--metrics-every=", 0) == 0) {
       options().metrics_every_ms =
-          std::strtod(std::string(arg.substr(16)).c_str(), nullptr);
+          detail::parse_flag_number<double>("--metrics-every",
+                                            arg.substr(16));
     } else if (arg.rfind("--dash=", 0) == 0) {
       options().dash_dir = std::string(arg.substr(7));
     }
@@ -390,13 +414,7 @@ auto run_trials(std::size_t count, std::uint64_t base_seed, Fn&& fn,
 /// + overlay, mirroring [1]'s testlab (peers AS-round-robin, 1 ultrapeer
 /// per 2 leaves, hostcaches filled with random subsets).
 struct GnutellaLab {
-  /// Per-AS shard engines (sim::EngineGroup). One shard — the default —
-  /// is the serial baseline; every pre-existing bench runs there.
-  sim::EngineGroup engines;
-  /// Shard 0, kept as a reference so single-engine call sites
-  /// (lab.engine.now(), lab.engine.run_until(...)) read unchanged. In
-  /// driver code all shard clocks agree, so shard 0 is "the" clock.
-  sim::Engine& engine;
+  sim::Engine engine;
   /// Group-wide immutable routing snapshot (null in owned-topology mode).
   std::shared_ptr<const underlay::SharedRouting> shared;
   underlay::AsTopology topo;  ///< Owned-mode storage; empty in shared mode.
@@ -407,17 +425,12 @@ struct GnutellaLab {
 
   /// `seed` is the trial seed (required — parallel trials must not share
   /// RNG streams); the network, overlay, and workload streams are derived
-  /// from it via Rng::split_seed so they stay decorrelated. `shards` = 0
-  /// (the default) takes the --shards flag.
+  /// from it via Rng::split_seed so they stay decorrelated.
   GnutellaLab(underlay::AsTopology topology, std::size_t peer_count,
-              overlay::gnutella::Config config, std::uint64_t seed,
-              std::size_t shards = 0)
-      : engines(shards != 0 ? shards : options().shards),
-        engine(engines.shard(0)),
-        topo(std::move(topology)),
-        workload_rng_(0) {
+              overlay::gnutella::Config config, std::uint64_t seed)
+      : topo(std::move(topology)), workload_rng_(0) {
     Rng derive(seed);
-    net = std::make_unique<underlay::Network>(engines, topo,
+    net = std::make_unique<underlay::Network>(engine, topo,
                                               derive.split_seed());
     init(peer_count, std::move(config), derive);
   }
@@ -428,13 +441,10 @@ struct GnutellaLab {
   /// is the same as the owned ctor, so behavior is byte-identical.
   GnutellaLab(std::shared_ptr<const underlay::SharedRouting> routing,
               std::size_t peer_count, overlay::gnutella::Config config,
-              std::uint64_t seed, std::size_t shards = 0)
-      : engines(shards != 0 ? shards : options().shards),
-        engine(engines.shard(0)),
-        shared(std::move(routing)),
-        workload_rng_(0) {
+              std::uint64_t seed)
+      : shared(std::move(routing)), workload_rng_(0) {
     Rng derive(seed);
-    net = std::make_unique<underlay::Network>(engines, shared,
+    net = std::make_unique<underlay::Network>(engine, shared,
                                               derive.split_seed());
     init(peer_count, std::move(config), derive);
   }
@@ -448,17 +458,8 @@ struct GnutellaLab {
   /// finalize and hand the trial's registry to the process-wide collector.
   ~GnutellaLab() {
     if (!options().collect_metrics) return;
-    if (engines.size() == 1) {
-      // Byte-identical to the pre-sharding export: one engine, one
-      // delivery lane, no side registries to fold in.
-      engine.export_metrics(metrics);
-      net->traffic().export_metrics(metrics);
-    } else {
-      engines.export_metrics(metrics);
-      net->export_traffic(metrics);
-      net->merge_side_metrics(metrics);
-      system->collect_shard_metrics(metrics);
-    }
+    engine.export_metrics(metrics);
+    net->traffic().export_metrics(metrics);
     submit_trial_metrics(std::move(metrics));
   }
 
@@ -548,15 +549,13 @@ struct GnutellaLab {
       system->bind_metrics(metrics);
     }
     // Per-AS-pair attribution whenever metrics leave the process: the
-    // matrix rides the same export/merge paths as the scalar accountant,
-    // so sharded runs stay byte-identical to serial ones.
+    // matrix rides the same export path as the scalar accountant.
     if (options().collect_metrics || options().metrics_every_ms > 0.0) {
       net->enable_traffic_matrix();
     }
     // --metrics-every periodic snapshots: the claiming lab exports its
-    // full current state every N sim ms into --dash. Single-shard only
-    // (reading other lanes' accountants mid-window would race).
-    if (engines.size() == 1 && claim_periodic_snapshots()) {
+    // full current state every N sim ms into --dash.
+    if (claim_periodic_snapshots()) {
       engine.schedule_every(options().metrics_every_ms, [this] {
         obs::MetricsRegistry snap;
         engine.export_metrics(snap);
@@ -566,10 +565,7 @@ struct GnutellaLab {
         return true;
       });
     }
-    // A JSONL sink is single-writer; sharded runs capture traces through
-    // obs::ShardedTraceMux instead (bench_sharded_gate wires it by hand).
-    if (obs::TraceSink* trace = acquire_trial_trace();
-        trace != nullptr && engines.size() == 1) {
+    if (obs::TraceSink* trace = acquire_trial_trace(); trace != nullptr) {
       engine.set_trace(trace);
       net->set_trace(trace);
       system->set_trace(trace);

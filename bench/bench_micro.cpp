@@ -400,83 +400,6 @@ static void BM_GnutellaFloodSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_GnutellaFloodSteadyState);
 
-// --- Sharded engine ------------------------------------------------------
-
-// One warmed routing snapshot for every BM_ShardedFlood shard count: the
-// 1000-AS mesh's all-pairs warm-up is setup cost, not the thing measured,
-// and sharing it keeps the four variants' setups comparable. Under
-// --snapshot-dir= the warm-up is skipped entirely after the first run —
-// the rows mmap-load from the persistent snapshot cache.
-static const std::shared_ptr<const underlay::SharedRouting>&
-sharded_flood_routing() {
-  static const auto routing = bench::shared_routing_cached(
-      "mesh", "a1000-e0.008", /*seed=*/1,
-      underlay::AsTopology::mesh(1000, 8.0 / 1000.0));
-  return routing;
-}
-
-static void BM_ShardedFlood(benchmark::State& state) {
-  // The BM_GnutellaFloodSteadyState regime scaled to the paper's "large
-  // underlay" shape — 1000 ASes, 4000 peers — under K per-AS engine
-  // shards (sim::EngineGroup conservative windows; K=1 is the serial
-  // baseline). Byte-identical results at every K (the sharded gates
-  // enforce it); only wall-clock may differ. Items are flooded messages.
-  process_pool();  // lazy init outside the timed region
-  const auto shards = std::size_t(state.range(0));
-  overlay::gnutella::Config config;
-  config.dynamic_querying = false;  // always flood at full TTL
-  bench::GnutellaLab lab(sharded_flood_routing(), 4000, config, /*seed=*/21,
-                         shards);
-  for (std::size_t i = 0; i < 3; ++i) {
-    lab.system->share(lab.peers[i * 7 + 1], ContentId(5));
-  }
-  lab.system->ping_cycle();
-  std::size_t origin = 0;
-  auto do_search = [&] {
-    origin = (origin + 37) % lab.peers.size();
-    return lab.system->search(lab.peers[origin], ContentId(5),
-                              /*download=*/false)
-        .result_count;
-  };
-  do_search();  // warm caches and scratch
-  const std::uint64_t before = lab.system->counts().total();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(do_search());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(lab.system->counts().total() - before));
-  state.SetLabel("shards=" + std::to_string(shards));
-}
-BENCHMARK(BM_ShardedFlood)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-static void BM_ShardedEngineBarrier(benchmark::State& state) {
-  // Pure coordination cost of one conservative window: K near-empty
-  // engines each fire a single event per step(), so the time is dominated
-  // by the barrier (parallel_for dispatch + join) rather than event
-  // execution — the floor a sharded run pays per window. Arg 1 is the
-  // no-barrier fast path for comparison.
-  process_pool();  // lazy init outside the timed region
-  const auto shards = std::size_t(state.range(0));
-  sim::EngineGroup group(shards);
-  double t = 0.0;
-  for (auto _ : state) {
-    t += 1.0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      group.shard(s).schedule_at(t, [] {});
-    }
-    benchmark::DoNotOptimize(group.step());
-  }
-  state.SetItemsProcessed(state.iterations());  // windows
-  state.SetLabel("shards=" + std::to_string(shards));
-}
-BENCHMARK(BM_ShardedEngineBarrier)->Arg(1)->Arg(4)->Arg(8)->UseRealTime();
-
 // --- Observability overhead ---------------------------------------------
 
 enum class ObsMode { kOff, kCounters, kTrace, kMatrix };

@@ -137,7 +137,7 @@ class Histo {
 /// Windowed sim-time series handle. Windows are fixed-width half-open
 /// intervals [i*window_ms, (i+1)*window_ms) over sim time starting at 0;
 /// values accumulate per window and merge element-wise (window i + window
-/// i), so serial and sharded/parallel runs export identical series.
+/// i), so serial and parallel-trial runs export identical series.
 class TimeSeries {
  public:
   TimeSeries() = default;

@@ -142,26 +142,4 @@ void JsonlTraceSink::flush() {
   if (file_ != nullptr) std::fflush(file_);
 }
 
-void ShardedTraceMux::flush_to(TraceSink& out) {
-  // K-way merge of per-lane buffers, each already monotone in t. Ties
-  // break by lane id then in-lane position — a fixed canonical order, so
-  // two runs with the same shard count produce identical files.
-  std::vector<std::size_t> cursor(lanes_.size(), 0);
-  for (;;) {
-    std::size_t best = lanes_.size();
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      if (cursor[i] >= lanes_[i].records().size()) continue;
-      if (best == lanes_.size() ||
-          lanes_[i].records()[cursor[i]].t <
-              lanes_[best].records()[cursor[best]].t) {
-        best = i;
-      }
-    }
-    if (best == lanes_.size()) break;
-    out.record(lanes_[best].records()[cursor[best]]);
-    ++cursor[best];
-  }
-  for (auto& lane : lanes_) lane.clear();
-}
-
 }  // namespace uap2p::obs

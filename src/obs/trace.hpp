@@ -174,58 +174,4 @@ class RingTraceSink final : public TraceSink {
   std::uint64_t total_ = 0;
 };
 
-/// Append-only in-memory sink; the per-lane buffer of ShardedTraceMux.
-/// Amortized O(1) record(), no per-record allocation once warmed.
-class BufferTraceSink final : public TraceSink {
- public:
-  void record(const TraceRecord& rec) override { records_.push_back(rec); }
-
-  [[nodiscard]] const std::vector<TraceRecord>& records() const {
-    return records_;
-  }
-  void clear() { records_.clear(); }
-
- private:
-  std::vector<TraceRecord> records_;
-};
-
-/// Deterministic trace multiplexer for sharded runs (DESIGN.md "Sharded
-/// engine"). Each shard engine — and each of the Network's per-shard
-/// delivery lanes — writes into its own lane buffer during parallel
-/// windows (no locks, no cross-thread writes); the driver writes into
-/// lane 0 between windows. flush_to() k-way merges the lanes by
-/// (timestamp, lane id, within-lane order) into one output sink.
-///
-/// Each lane is individually monotone in t: an engine's clock is monotone
-/// within windows, driver emissions happen at barrier time (>= every
-/// prior window's horizon), and later windows only execute events at or
-/// after that barrier. The merge is therefore a true sorted merge, and
-/// the output is globally monotone — the same property a single-engine
-/// trace has, which is what lets uap2p_tracediff compare a sharded trace
-/// against a serial one timestamp-group by timestamp-group.
-class ShardedTraceMux {
- public:
-  /// `shards` engine lanes plus lane 0 for the driver/overlay.
-  explicit ShardedTraceMux(std::size_t shards) : lanes_(shards + 1) {}
-
-  [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
-
-  /// Lane 0 = driver/overlay emissions; lanes 1..shards = shard i-1.
-  [[nodiscard]] TraceSink* lane(std::size_t i) { return &lanes_[i]; }
-
-  /// Total records buffered across all lanes.
-  [[nodiscard]] std::size_t buffered() const {
-    std::size_t n = 0;
-    for (const auto& lane : lanes_) n += lane.records().size();
-    return n;
-  }
-
-  /// Merges every lane into `out` in (t, lane, in-lane order) order and
-  /// clears the buffers. Call once, after the run.
-  void flush_to(TraceSink& out);
-
- private:
-  std::vector<BufferTraceSink> lanes_;
-};
-
 }  // namespace uap2p::obs

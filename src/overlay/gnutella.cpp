@@ -50,16 +50,6 @@ GnutellaSystem::GnutellaSystem(underlay::Network& network,
   assert(peers.size() == roles.size());
   assert(config_.selection == NeighborSelection::kRandom || oracle_ != nullptr);
   bind_metrics(own_metrics_);
-  if (sim::EngineGroup* group = network_.group();
-      group != nullptr && group->size() > 1) {
-    shard_lanes_.resize(group->size() - 1);
-    for (ShardCounters& lane : shard_lanes_) {
-      lane.ping = lane.side.counter("gnutella.messages.ping");
-      lane.pong = lane.side.counter("gnutella.messages.pong");
-      lane.query = lane.side.counter("gnutella.messages.query");
-      lane.query_hit = lane.side.counter("gnutella.messages.query_hit");
-    }
-  }
   nodes_.reserve(peers.size());
   for (std::size_t i = 0; i < peers.size(); ++i) {
     Node node;
@@ -232,27 +222,12 @@ void GnutellaSystem::bind_metrics(obs::MetricsRegistry& registry) {
 
 void GnutellaSystem::send_typed(PeerId from, PeerId to, int type,
                                 std::uint32_t bytes, Payload payload) {
-  // Shard windows > 0 count into their private lane; shard 0 and driver
-  // code share the main counters (only ever touched by one thread at a
-  // time — shard 0's during windows, the coordinator between them).
-  const int lane = sim::current_shard();
-  if (lane <= 0 || shard_lanes_.empty()) {
-    switch (type) {
-      case msg::kGnutellaPing: ping_count_.inc(); break;
-      case msg::kGnutellaPong: pong_count_.inc(); break;
-      case msg::kGnutellaQuery: query_count_.inc(); break;
-      case msg::kGnutellaQueryHit: query_hit_count_.inc(); break;
-      default: break;
-    }
-  } else {
-    ShardCounters& counters = shard_lanes_[static_cast<std::size_t>(lane) - 1];
-    switch (type) {
-      case msg::kGnutellaPing: counters.ping.inc(); break;
-      case msg::kGnutellaPong: counters.pong.inc(); break;
-      case msg::kGnutellaQuery: counters.query.inc(); break;
-      case msg::kGnutellaQueryHit: counters.query_hit.inc(); break;
-      default: break;
-    }
+  switch (type) {
+    case msg::kGnutellaPing: ping_count_.inc(); break;
+    case msg::kGnutellaPong: pong_count_.inc(); break;
+    case msg::kGnutellaQuery: query_count_.inc(); break;
+    case msg::kGnutellaQueryHit: query_hit_count_.inc(); break;
+    default: break;
   }
   underlay::Message msg;
   msg.src = from;
@@ -409,12 +384,8 @@ void GnutellaSystem::handle_query_hit(PeerId self, const QueryHitPayload& hit) {
              hit);
 }
 
-void GnutellaSystem::collect_shard_metrics(obs::MetricsRegistry& into) const {
-  for (const ShardCounters& lane : shard_lanes_) into.merge(lane.side);
-}
-
 void GnutellaSystem::ping_cycle() {
-  underlay::ScopedOrigin trace_origin(network_, obs::origin::kMaintenance);
+  sim::OriginScope trace_origin(network_.engine(), obs::origin::kMaintenance);
   if (trace_ != nullptr) {
     trace_->record({network_.engine().now(), obs::TraceKind::kOverlay, -1, -1,
                     obs::op::kPingCycle, 0.0});
@@ -441,7 +412,7 @@ void GnutellaSystem::ping_cycle() {
 
 SearchOutcome GnutellaSystem::search(PeerId origin, ContentId content,
                                      bool download) {
-  underlay::ScopedOrigin trace_origin(network_, obs::origin::kFlooding);
+  sim::OriginScope trace_origin(network_.engine(), obs::origin::kFlooding);
   Node& me = node(origin);
   SearchOutcome outcome;
   if (trace_ != nullptr) {
@@ -509,7 +480,7 @@ SearchOutcome GnutellaSystem::search(PeerId origin, ContentId content,
     outcome.provider = provider;
     outcome.download_intra_as =
         network_.host(origin).as == network_.host(provider).as;
-    underlay::ScopedOrigin download_origin(network_, obs::origin::kTransfer);
+    sim::OriginScope download_origin(network_.engine(), obs::origin::kTransfer);
     const sim::SimTime before = network_.engine().now();
     underlay::Message request;
     request.src = origin;
@@ -568,7 +539,7 @@ std::size_t GnutellaSystem::repair_overlay() {
 
 std::size_t GnutellaSystem::ltm_round(netinfo::Pinger& pinger,
                                       double cut_factor) {
-  underlay::ScopedOrigin trace_origin(network_, obs::origin::kMaintenance);
+  sim::OriginScope trace_origin(network_.engine(), obs::origin::kMaintenance);
   std::size_t rewired = 0;
   for (Node& me : nodes_) {
     if (me.role != NodeRole::kUltrapeer) continue;

@@ -171,12 +171,6 @@ class GnutellaSystem {
     counts_.pong = pong_count_.value();
     counts_.query = query_count_.value();
     counts_.query_hit = query_hit_count_.value();
-    for (const ShardCounters& lane : shard_lanes_) {
-      counts_.ping += lane.ping.value();
-      counts_.pong += lane.pong.value();
-      counts_.query += lane.query.value();
-      counts_.query_hit += lane.query_hit.value();
-    }
     return counts_;
   }
   [[nodiscard]] const underlay::Network& network() const { return network_; }
@@ -188,13 +182,8 @@ class GnutellaSystem {
   /// Observability ---------------------------------------------------------
   /// Re-homes the "gnutella.messages.*" counters into `registry` (the
   /// system always counts into an internal registry otherwise). Current
-  /// values carry over, so counts() is exact across a rebind. Only lane 0
-  /// rebinds; per-shard lanes always count into private side registries.
+  /// values carry over, so counts() is exact across a rebind.
   void bind_metrics(obs::MetricsRegistry& registry);
-  /// Merges the per-shard "gnutella.messages.*" side counters (lanes
-  /// 1..K-1, present only when the network runs a multi-shard group) into
-  /// `into`. Call once after the run; a no-op in serial mode.
-  void collect_shard_metrics(obs::MetricsRegistry& into) const;
   /// Emits kOverlay records (search start/done, ping cycles, LTM rewires,
   /// churn repair); nullptr disables.
   void set_trace(obs::TraceSink* trace) { trace_ = trace; }
@@ -216,10 +205,9 @@ class GnutellaSystem {
     FlatSet<std::uint32_t> shared;  // ContentId values
     // Pong cache: (address, last-seen sim time), oldest first.
     std::vector<std::pair<PeerId, sim::SimTime>> pong_cache;
-    // Hostcache eviction draws. Per-node (not the shared rng_) so the
-    // eviction stream is a function of the node's own pong sequence only
-    // — the property that keeps sharded runs identical to serial ones,
-    // where interleaving across nodes would otherwise reorder draws.
+    // Hostcache eviction draws. Per-node (not the shared rng_), so the
+    // eviction stream is a function of the node's own pong sequence only;
+    // the Table 1 counts are pinned to these streams.
     Rng cache_rng;
   };
 
@@ -283,18 +271,6 @@ class GnutellaSystem {
   obs::Counter pong_count_;
   obs::Counter query_count_;
   obs::Counter query_hit_count_;
-  /// Per-shard counter lane (shards 1..K-1; shard 0 and the driver use the
-  /// counters above). Each lane's counters live in a private registry so
-  /// parallel windows never write a shared slot; collect_shard_metrics
-  /// folds them back.
-  struct ShardCounters {
-    obs::MetricsRegistry side;
-    obs::Counter ping;
-    obs::Counter pong;
-    obs::Counter query;
-    obs::Counter query_hit;
-  };
-  std::vector<ShardCounters> shard_lanes_;
   mutable MessageCounts counts_;
   obs::TraceSink* trace_ = nullptr;
   std::uint64_t next_guid_ = 1;

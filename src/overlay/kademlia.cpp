@@ -226,11 +226,7 @@ void KademliaSystem::issue_queries(ActiveLookup& lookup) {
     network_.send(std::move(out));
 
     const PeerId queried_peer = entry.contact.peer;
-    // The timeout lives on the origin's engine: issue_queries runs either
-    // in driver code (initial queries) or in the origin's reply handler —
-    // in sharded mode that is the origin's shard — and handle_response
-    // cancels from the same place, so the handle never crosses shards.
-    lookup.timeouts[rpc_id] = network_.engine_for(lookup.origin).schedule(
+    lookup.timeouts[rpc_id] = network_.engine().schedule(
         config_.rpc_timeout_ms, [this, rpc_id, queried_peer] {
           if (!active_ || !active_->timeouts.contains(rpc_id)) return;
           active_->timeouts.erase(rpc_id);
@@ -264,7 +260,7 @@ void KademliaSystem::finish_if_converged(ActiveLookup& lookup) {
 LookupResult KademliaSystem::run_lookup(PeerId origin, NodeId target,
                                         bool want_value, Key key) {
   assert(!active_ && "one lookup at a time");
-  underlay::ScopedOrigin trace_origin(network_, obs::origin::kLookup);
+  sim::OriginScope trace_origin(network_.engine(), obs::origin::kLookup);
   ActiveLookup lookup;
   lookup.origin = origin;
   lookup.target = target;
@@ -280,18 +276,8 @@ LookupResult KademliaSystem::run_lookup(PeerId origin, NodeId target,
   finish_if_converged(*active_);
 
   // Drain until the lookup settles; the timeout chain guarantees progress.
-  if (sim::EngineGroup* group = network_.group()) {
-    // Sharded: advance one conservative window at a time so the done flag
-    // is re-checked at every barrier. The window semantics are identical
-    // for every shard count (including one), which is what makes
-    // --shards=1 and --shards=4 runs of this loop byte-comparable.
-    while (!active_->done) {
-      if (group->step() == 0) break;  // every shard idle: no progress
-    }
-  } else {
-    while (!active_->done) {
-      if (network_.engine().run(512) == 0) break;  // queue drained
-    }
+  while (!active_->done) {
+    if (network_.engine().run(512) == 0) break;  // queue drained
   }
 
   LookupResult result;

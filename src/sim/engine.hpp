@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -238,57 +237,6 @@ class Engine {
     schedule(interval, [this, interval, fn = std::move(fn)]() mutable {
       if (fn()) schedule_every(interval, std::move(fn));
     });
-  }
-
-  /// Schedules at an absolute time without emitting a kEventScheduled
-  /// trace record, attributing the event to `origin` instead of the
-  /// engine's current origin. This is the ingestion path for cross-shard
-  /// messages (sim/sharded_engine.hpp): the sending shard already emitted
-  /// the scheduled record at send time, so emitting another here would
-  /// double-count it; the carried origin keeps the fired record attributed
-  /// to the sender's causal chain, exactly as a serial run would have.
-  /// Counter accounting (scheduled / inline / spilled / high-water) is
-  /// identical to schedule_at, so sharded stat rollups match serial sums.
-  template <typename F>
-  EventHandle schedule_import(SimTime when, std::uint8_t origin, F&& fn) {
-    assert(when >= now_);
-    const std::uint32_t slot = acquire_slot();
-    Slot& s = slot_at(slot);
-    if (s.fn.emplace(std::forward<F>(fn))) {
-      ++inline_callbacks_;
-    } else {
-      ++spilled_callbacks_;
-    }
-    const std::uint64_t tag = (next_seq_++ << kSlotBits) | slot;
-    s.armed_tag = tag;
-    queue_.push(QueueEntry{when, tag});
-    if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
-    if (trace_ != nullptr) [[unlikely]] {
-      if (slot_origins_.size() < slot_count_) slot_origins_.resize(slot_count_);
-      slot_origins_[slot] = origin;
-    }
-    return EventHandle(this, tag);
-  }
-
-  /// Sentinel returned by next_event_time() on an empty queue.
-  static constexpr SimTime kNoEventTime =
-      std::numeric_limits<double>::infinity();
-
-  /// Timestamp of the earliest live event, or kNoEventTime when none is
-  /// queued. Pops cancelled tombstones off the heap head so they never
-  /// gate conservative-window progress (sharded_engine.hpp).
-  [[nodiscard]] SimTime next_event_time() {
-    while (!queue_.empty()) {
-      const QueueEntry& top = queue_.top();
-      const std::uint32_t index =
-          static_cast<std::uint32_t>(top.tag) & kSlotMask;
-      if (slot_at(index).armed_tag != top.tag) {
-        queue_.pop();
-        continue;
-      }
-      return top.when;
-    }
-    return kNoEventTime;
   }
 
   /// Runs until the queue is empty or `limit` events fired.

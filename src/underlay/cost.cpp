@@ -104,20 +104,6 @@ void TrafficAccountant::export_metrics(obs::MetricsRegistry& registry) const {
   matrix_.export_metrics(registry, pricing_);
 }
 
-void TrafficAccountant::merge_from(const TrafficAccountant& other) {
-  total_bytes_ += other.total_bytes_;
-  intra_bytes_ += other.intra_bytes_;
-  transit_bytes_ += other.transit_bytes_;
-  peering_bytes_ += other.peering_bytes_;
-  messages_ += other.messages_;
-  if (window_transit_bytes_.size() < other.window_transit_bytes_.size())
-    window_transit_bytes_.resize(other.window_transit_bytes_.size(), 0.0);
-  for (std::size_t i = 0; i < other.window_transit_bytes_.size(); ++i)
-    window_transit_bytes_[i] += other.window_transit_bytes_[i];
-  peering_links_ = std::max(peering_links_, other.peering_links_);
-  matrix_.merge_from(other.matrix_);
-}
-
 void TrafficAccountant::reset() {
   total_bytes_ = intra_bytes_ = transit_bytes_ = peering_bytes_ = 0;
   messages_ = 0;

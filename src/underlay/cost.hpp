@@ -123,13 +123,6 @@ class TrafficAccountant {
   /// `registry` (idempotent set; typically called at trial teardown).
   void export_metrics(obs::MetricsRegistry& registry) const;
 
-  /// Adds another accountant's totals into this one. Per-window transit
-  /// series are summed elementwise — windows are indexed by absolute sim
-  /// time, so merging per-shard accountants reproduces the serial series
-  /// exactly (addition is commutative; the billing percentile is computed
-  /// from the merged series afterwards).
-  void merge_from(const TrafficAccountant& other);
-
   void reset();
 
  private:

@@ -46,23 +46,22 @@ HostResources sample_resources(Rng& rng) {
   return res;
 }
 
-void Network::init_lanes(std::size_t count, const Pricing& pricing) {
+namespace {
+
+TrafficAccountant make_accountant(const AsTopology& topology,
+                                  const Pricing& pricing) {
   std::size_t peering_links = 0;
-  for (const Link& link : topology_->links())
+  for (const Link& link : topology.links())
     if (link.type == LinkType::kPeering) ++peering_links;
-  lanes_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    lanes_.emplace_back();
-    lanes_.back().traffic = TrafficAccountant(pricing);
-    lanes_.back().traffic.set_peering_links(peering_links);
-  }
-  outboxes_.resize(count * count);
+  TrafficAccountant traffic(pricing);
+  traffic.set_peering_links(peering_links);
+  return traffic;
 }
 
+}  // namespace
+
 void Network::enable_traffic_matrix() {
-  for (DeliveryLane& lane : lanes_)
-    lane.traffic.enable_matrix(
-        static_cast<std::uint32_t>(topology_->as_count()));
+  traffic_.enable_matrix(static_cast<std::uint32_t>(topology_->as_count()));
 }
 
 Network::Network(sim::Engine& engine, const AsTopology& topology,
@@ -71,9 +70,8 @@ Network::Network(sim::Engine& engine, const AsTopology& topology,
       topology_(&topology),
       owned_routing_(std::make_unique<RoutingTable>(topology)),
       rng_(seed),
-      hosts_per_as_(topology.as_count(), 0) {
-  init_lanes(1, pricing);
-}
+      hosts_per_as_(topology.as_count(), 0),
+      traffic_(make_accountant(topology, pricing)) {}
 
 Network::Network(sim::Engine& engine,
                  std::shared_ptr<const SharedRouting> routing,
@@ -82,41 +80,8 @@ Network::Network(sim::Engine& engine,
       shared_routing_(std::move(routing)),
       topology_(&shared_routing_->topology()),
       rng_(seed),
-      hosts_per_as_(topology_->as_count(), 0) {
-  init_lanes(1, pricing);
-}
-
-Network::Network(sim::EngineGroup& group, const AsTopology& topology,
-                 std::uint64_t seed, Pricing pricing)
-    : engine_(group.shard(0)),
-      group_(&group),
-      topology_(&topology),
-      owned_routing_(std::make_unique<RoutingTable>(topology)),
-      rng_(seed),
-      hosts_per_as_(topology.as_count(), 0) {
-  init_lanes(group.size(), pricing);
-  // Lazy path fills are not thread-safe; with parallel windows ahead,
-  // warm the whole table up front (itself parallel).
-  if (group.size() > 1) owned_routing_->warm_all();
-  group.set_mailbox(this);
-}
-
-Network::Network(sim::EngineGroup& group,
-                 std::shared_ptr<const SharedRouting> routing,
-                 std::uint64_t seed, Pricing pricing)
-    : engine_(group.shard(0)),
-      group_(&group),
-      shared_routing_(std::move(routing)),
-      topology_(&shared_routing_->topology()),
-      rng_(seed),
-      hosts_per_as_(topology_->as_count(), 0) {
-  init_lanes(group.size(), pricing);
-  group.set_mailbox(this);
-}
-
-Network::~Network() {
-  if (group_ != nullptr) group_->set_mailbox(nullptr);
-}
+      hosts_per_as_(topology_->as_count(), 0),
+      traffic_(make_accountant(*topology_, pricing)) {}
 
 PeerId Network::add_host(RouterId attachment, HostResources resources) {
   Host host;
@@ -133,9 +98,6 @@ PeerId Network::add_host(RouterId attachment, HostResources resources) {
   host.access_latency_ms = rng_.uniform_real(1.0, 12.0);
   hosts_.push_back(host);
   handlers_.emplace_back();
-  shard_of_.push_back(host.as.value() %
-                      static_cast<std::uint32_t>(lanes_.size()));
-  lookahead_dirty_ = true;
   return host.id;
 }
 
@@ -192,13 +154,10 @@ void Network::move_host(PeerId peer, const GeoPoint& location) {
       host.as = new_as;
       const auto& as = topology_->as_info(new_as);
       host.ip = IpAddress{as.prefix + 2 + hosts_per_as_[new_as.value()]++};
-      shard_of_[peer.value()] =
-          new_as.value() % static_cast<std::uint32_t>(lanes_.size());
     }
   }
   // A new access link (cellular handover / new DSLAM).
   host.access_latency_ms = rng_.uniform_real(1.0, 12.0);
-  lookahead_dirty_ = true;
 }
 
 namespace {
@@ -217,12 +176,11 @@ namespace {
 
 }  // namespace
 
-void Network::drop_at_send(DeliveryLane& lane, const Message& msg,
-                           sim::SimTime now) {
-  ++lane.dropped;
-  lane.dropped_metric.inc();
-  if (lane.trace != nullptr) {
-    emit_msg_trace(lane.trace, now, obs::TraceKind::kMsgDropped, msg.src,
+void Network::drop_at_send(const Message& msg, sim::SimTime now) {
+  ++dropped_;
+  dropped_metric_.inc();
+  if (trace_ != nullptr) {
+    emit_msg_trace(trace_, now, obs::TraceKind::kMsgDropped, msg.src,
                    msg.dst, msg.type, static_cast<double>(msg.size_bytes));
   }
 }
@@ -231,34 +189,26 @@ bool Network::send(Message msg) {
   assert(msg.src.value() < hosts_.size() && msg.dst.value() < hosts_.size());
   const Host& src = hosts_[msg.src.value()];
   const Host& dst = hosts_[msg.dst.value()];
-  // The lane of the calling context: the current shard's inside a window,
-  // lane 0 in driver code and in legacy mode. Accounting and trace
-  // emission at send time go here; delivery state goes to the
-  // destination's lane.
-  const int ctx = group_ != nullptr ? sim::current_shard() : -1;
-  DeliveryLane& lane = lanes_[ctx < 0 ? 0 : static_cast<std::size_t>(ctx)];
-  sim::Engine& src_engine = group_ != nullptr ? group_->current() : engine_;
-  const sim::SimTime now = src_engine.now();
+  const sim::SimTime now = engine_.now();
   if (!src.online || !dst.online) {
-    drop_at_send(lane, msg, now);
+    drop_at_send(msg, now);
     return false;
   }
   const PathInfo path = route(src.attachment, dst.attachment);
   if (!path.reachable) {
-    drop_at_send(lane, msg, now);
+    drop_at_send(msg, now);
     return false;
   }
-  lane.traffic.record(path, msg.size_bytes, now,
-                      static_cast<std::uint32_t>(src.as.value()),
-                      static_cast<std::uint32_t>(dst.as.value()));
-  lane.sent_count.inc();
-  lane.bytes_sent.inc(msg.size_bytes);
-  if (lane.trace != nullptr) [[unlikely]] {
-    emit_msg_trace(lane.trace, now, obs::TraceKind::kMsgSent, msg.src,
-                   msg.dst, msg.type, static_cast<double>(msg.size_bytes));
-    emit_msg_trace(lane.trace, now, obs::TraceKind::kMsgHop, msg.src,
-                   msg.dst, msg.type,
-                   static_cast<double>(path.router_hops));
+  traffic_.record(path, msg.size_bytes, now,
+                  static_cast<std::uint32_t>(src.as.value()),
+                  static_cast<std::uint32_t>(dst.as.value()));
+  sent_metric_.inc();
+  bytes_metric_.inc(msg.size_bytes);
+  if (trace_ != nullptr) [[unlikely]] {
+    emit_msg_trace(trace_, now, obs::TraceKind::kMsgSent, msg.src, msg.dst,
+                   msg.type, static_cast<double>(msg.size_bytes));
+    emit_msg_trace(trace_, now, obs::TraceKind::kMsgHop, msg.src, msg.dst,
+                   msg.type, static_cast<double>(path.router_hops));
   }
 
   const double transmission_ms =
@@ -268,61 +218,31 @@ bool Network::send(Message msg) {
           : 0.0;
   const sim::SimTime delay = src.access_latency_ms + path.latency_ms +
                              dst.access_latency_ms + transmission_ms;
-  if (group_ == nullptr) {
-    const std::uint32_t slot = lane.in_flight.acquire();
-    lane.in_flight[slot] = std::move(msg);
-    engine_.schedule(delay, [this, slot] { deliver(0, slot); });
-    return true;
-  }
-  const std::uint32_t dshard = shard_of_[msg.dst.value()];
-  if (ctx < 0 || static_cast<std::uint32_t>(ctx) == dshard) {
-    // Same shard (or driver phase, when no window is running and every
-    // engine is at barrier time): schedule directly on the destination's
-    // engine, exactly like the legacy path.
-    DeliveryLane& dlane = lanes_[dshard];
-    const std::uint32_t slot = dlane.in_flight.acquire();
-    dlane.in_flight[slot] = std::move(msg);
-    group_->shard(dshard).schedule(
-        delay, [this, dshard, slot] { deliver(dshard, slot); });
-    return true;
-  }
-  // Cross-shard: park the message for the barrier exchange. The scheduled
-  // trace record is emitted here, at send time on the sender's lane —
-  // where the serial run emits it — because schedule_import at the
-  // barrier deliberately skips it.
-  const sim::SimTime when = now + delay;
-  const std::uint8_t origin = src_engine.origin();
-  if (lane.trace != nullptr) [[unlikely]] {
-    lane.trace->record({now, obs::TraceKind::kEventScheduled,
-                        static_cast<std::int32_t>(origin), -1, 0, when});
-  }
-  outboxes_[static_cast<std::size_t>(ctx) * lanes_.size() + dshard]
-      .push_back(Parcel{when, origin, std::move(msg)});
+  const std::uint32_t slot = in_flight_.acquire();
+  in_flight_[slot] = std::move(msg);
+  engine_.schedule(delay, [this, slot] { deliver(slot); });
   return true;
 }
 
-void Network::deliver(std::uint32_t lane_idx, std::uint32_t slot) {
-  DeliveryLane& lane = lanes_[lane_idx];
-  const Message& delivered = lane.in_flight[slot];
+void Network::deliver(std::uint32_t slot) {
+  const Message& delivered = in_flight_[slot];
   const PeerId dst_id = delivered.dst;
-  const sim::SimTime now =
-      group_ != nullptr ? group_->current().now() : engine_.now();
   if (!hosts_[dst_id.value()].online) {
-    ++lane.dropped;
-    lane.dropped_metric.inc();
-    if (lane.trace != nullptr) {
-      emit_msg_trace(lane.trace, now, obs::TraceKind::kMsgDropped,
+    ++dropped_;
+    dropped_metric_.inc();
+    if (trace_ != nullptr) {
+      emit_msg_trace(trace_, engine_.now(), obs::TraceKind::kMsgDropped,
                      delivered.src, dst_id, delivered.type,
                      static_cast<double>(delivered.size_bytes));
     }
   } else {
     const auto index = static_cast<std::size_t>(std::max(0, delivered.type));
-    if (lane.delivered_by_type.size() <= index)
-      lane.delivered_by_type.resize(index + 1, 0);
-    ++lane.delivered_by_type[index];
-    lane.delivered_count.inc();
-    if (lane.trace != nullptr) [[unlikely]] {
-      emit_msg_trace(lane.trace, now, obs::TraceKind::kMsgDelivered,
+    if (delivered_by_type_.size() <= index)
+      delivered_by_type_.resize(index + 1, 0);
+    ++delivered_by_type_[index];
+    delivered_metric_.inc();
+    if (trace_ != nullptr) [[unlikely]] {
+      emit_msg_trace(trace_, engine_.now(), obs::TraceKind::kMsgDelivered,
                      delivered.src, dst_id, delivered.type,
                      static_cast<double>(delivered.size_bytes));
     }
@@ -330,79 +250,22 @@ void Network::deliver(std::uint32_t lane_idx, std::uint32_t slot) {
     // `delivered` stays valid while new in-flight slots are acquired.
     for (const auto& handler : handlers_[dst_id.value()]) handler(delivered);
   }
-  lane.in_flight[slot].payload.reset();  // free heap payloads promptly
-  lane.in_flight.release(slot);
-}
-
-void Network::exchange() {
-  assert(group_ != nullptr);
-  // Canonical ingestion order: (timestamp, source shard, send order).
-  // Event tags — the same-timestamp tie-break inside each destination
-  // engine — are assigned in this order, so the run is reproducible for
-  // a fixed shard count; per-timestamp record multisets match the serial
-  // run's regardless of shard count (DESIGN.md "Sharded engine").
-  exchange_refs_.clear();
-  for (std::uint32_t box = 0; box < outboxes_.size(); ++box) {
-    for (std::uint32_t idx = 0; idx < outboxes_[box].size(); ++idx) {
-      exchange_refs_.push_back(ParcelRef{outboxes_[box][idx].when, box, idx});
-    }
-  }
-  if (exchange_refs_.empty()) return;
-  std::stable_sort(
-      exchange_refs_.begin(), exchange_refs_.end(),
-      [](const ParcelRef& a, const ParcelRef& b) { return a.when < b.when; });
-  const std::size_t shard_count = lanes_.size();
-  for (const ParcelRef& ref : exchange_refs_) {
-    Parcel& parcel = outboxes_[ref.box][ref.idx];
-    const std::uint32_t dshard = ref.box % shard_count;
-    DeliveryLane& dlane = lanes_[dshard];
-    const std::uint32_t slot = dlane.in_flight.acquire();
-    dlane.in_flight[slot] = std::move(parcel.msg);
-    group_->shard(dshard).schedule_import(
-        parcel.when, parcel.origin,
-        [this, dshard, slot] { deliver(dshard, slot); });
-  }
-  for (auto& box : outboxes_) box.clear();  // keeps capacity
-}
-
-sim::SimTime Network::lookahead_ms() const {
-  if (!lookahead_dirty_) return lookahead_cache_;
-  double min_link = std::numeric_limits<double>::infinity();
-  for (const Link& link : topology_->links()) {
-    if (topology_->as_of(link.a) != topology_->as_of(link.b))
-      min_link = std::min(min_link, link.latency_ms);
-  }
-  double min_access = std::numeric_limits<double>::infinity();
-  for (const Host& host : hosts_)
-    min_access = std::min(min_access, host.access_latency_ms);
-  lookahead_cache_ = min_link + 2.0 * min_access;
-  lookahead_dirty_ = false;
-  return lookahead_cache_;
+  in_flight_[slot].payload.reset();  // free heap payloads promptly
+  in_flight_.release(slot);
 }
 
 std::uint64_t Network::run_until(sim::SimTime until) {
-  // Forward the horizon to every lane's accountant so billing-window
-  // growth happens here (cold path) and record() stays allocation-free
-  // through the run. The horizon is quantized up to the next whole
-  // simulated hour: reserve_windows sizes capacity to the target exactly,
-  // so an unquantized `until + slack` would creep forward with every
+  // Forward the horizon to the accountant so billing-window growth
+  // happens here (cold path) and record() stays allocation-free through
+  // the run. The horizon is quantized up to the next whole simulated
+  // hour: reserve_windows sizes capacity to the target exactly, so an
+  // unquantized `until + slack` would creep forward with every
   // quiesce-horizon-at-a-time caller (overlay floods advance 30 s per
   // call) and reallocate at each new billing window. Rounding up means
   // the target — and hence capacity — changes once per simulated hour.
   const double hour = sim::hours(1);
-  const sim::SimTime horizon = hour * (std::floor(until / hour) + 1.0);
-  for (DeliveryLane& lane : lanes_)
-    lane.traffic.reserve_windows(horizon);
-  return group_ != nullptr ? group_->run_until(until)
-                           : engine_.run_until(until);
-}
-
-void Network::set_origin(std::uint8_t origin) {
-  if (group_ != nullptr) {
-    group_->set_origin(origin);
-  } else {
-    engine_.set_origin(origin);
-  }
+  traffic_.reserve_windows(hour * (std::floor(until / hour) + 1.0));
+  return engine_.run_until(until);
 }
 
 sim::SimTime Network::rtt_ms(PeerId a, PeerId b) {
@@ -422,57 +285,24 @@ PathInfo Network::path_between(PeerId a, PeerId b) {
 }
 
 void Network::set_metrics(obs::MetricsRegistry* registry) {
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    DeliveryLane& lane = lanes_[i];
-    if (registry == nullptr) {
-      lane.sent_count = {};
-      lane.delivered_count = {};
-      lane.dropped_metric = {};
-      lane.bytes_sent = {};
-      continue;
-    }
-    obs::MetricsRegistry& reg = i == 0 ? *registry : lane.side;
-    lane.sent_count = reg.counter("net.messages.sent");
-    lane.delivered_count = reg.counter("net.messages.delivered");
-    lane.dropped_metric = reg.counter("net.messages.dropped");
-    lane.bytes_sent = reg.counter("net.bytes.sent");
+  if (registry == nullptr) {
+    sent_metric_ = {};
+    delivered_metric_ = {};
+    dropped_metric_ = {};
+    bytes_metric_ = {};
+    return;
   }
-}
-
-void Network::merge_side_metrics(obs::MetricsRegistry& into) const {
-  for (std::size_t i = 1; i < lanes_.size(); ++i) into.merge(lanes_[i].side);
-}
-
-void Network::export_traffic(obs::MetricsRegistry& registry) const {
-  TrafficAccountant merged = lanes_[0].traffic;
-  for (std::size_t i = 1; i < lanes_.size(); ++i)
-    merged.merge_from(lanes_[i].traffic);
-  merged.export_metrics(registry);
-}
-
-void Network::set_trace(obs::TraceSink* trace) {
-  for (DeliveryLane& lane : lanes_) lane.trace = trace;
-}
-
-void Network::set_trace_mux(obs::ShardedTraceMux* mux) {
-  for (std::size_t i = 0; i < lanes_.size(); ++i)
-    lanes_[i].trace = mux != nullptr ? mux->lane(i + 1) : nullptr;
+  sent_metric_ = registry->counter("net.messages.sent");
+  delivered_metric_ = registry->counter("net.messages.delivered");
+  dropped_metric_ = registry->counter("net.messages.dropped");
+  bytes_metric_ = registry->counter("net.bytes.sent");
 }
 
 std::uint64_t Network::delivered_count(int type) const {
   const auto index = static_cast<std::size_t>(std::max(0, type));
-  std::uint64_t total = 0;
-  for (const DeliveryLane& lane : lanes_) {
-    if (index < lane.delivered_by_type.size())
-      total += lane.delivered_by_type[index];
-  }
-  return total;
+  return index < delivered_by_type_.size() ? delivered_by_type_[index] : 0;
 }
 
-std::uint64_t Network::dropped_count() const {
-  std::uint64_t total = 0;
-  for (const DeliveryLane& lane : lanes_) total += lane.dropped;
-  return total;
-}
+std::uint64_t Network::dropped_count() const { return dropped_; }
 
 }  // namespace uap2p::underlay

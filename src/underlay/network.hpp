@@ -7,17 +7,11 @@
 // where the intra-AS / transit / peering byte split that the paper's
 // evaluation reasons about comes from.
 //
-// The transport can run over a single sim::Engine (the legacy mode every
-// existing test uses, byte-for-byte unchanged) or over a sim::EngineGroup
-// that partitions the event loop by AS (shard = AS id mod shard count).
-// In group mode the Network doubles as the group's ShardMailbox: sends
-// whose destination lives on another shard are parked in per-(src,dst)
-// outboxes and exchanged — in canonical (timestamp, source-shard,
-// send-order) order — at every conservative-window barrier. All mutable
-// per-delivery state (in-flight slots, traffic accounting, counters,
-// trace emission) is striped into per-shard lanes so parallel windows
-// never share a cache line, and lane totals merge to exactly the serial
-// values (see DESIGN.md "Sharded engine").
+// The transport runs over one sim::Engine per scenario. A send parks the
+// message in a recycled slot pool and schedules a delivery event that
+// captures only the slot index, so the steady-state send -> deliver cycle
+// never touches the allocator. Scenarios scale out across trials (one
+// engine per trial, bench::run_trials), not inside one event loop.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +26,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
-#include "sim/sharded_engine.hpp"
 #include "underlay/cost.hpp"
 #include "underlay/routing.hpp"
 #include "underlay/topology.hpp"
@@ -84,7 +77,7 @@ struct Message {
 
 /// The transport. One instance per experiment; owns hosts, delegates
 /// routing to RoutingTable and billing to TrafficAccountant.
-class Network final : public sim::ShardMailbox {
+class Network {
  public:
   /// Owned-routing mode: the network builds its own lazy RoutingTable
   /// over `topology` (which must outlive the network).
@@ -95,17 +88,6 @@ class Network final : public sim::ShardMailbox {
   /// reads; results are byte-identical to the owned mode.
   Network(sim::Engine& engine, std::shared_ptr<const SharedRouting> routing,
           std::uint64_t seed = 1, Pricing pricing = {});
-  /// Sharded modes: the transport registers itself as `group`'s mailbox
-  /// and stripes delivery state into one lane per shard. With an owned
-  /// routing table and more than one shard the table is warmed eagerly
-  /// (lazy fills are not thread-safe). A one-shard group reproduces the
-  /// legacy engine byte-for-byte.
-  Network(sim::EngineGroup& group, const AsTopology& topology,
-          std::uint64_t seed = 1, Pricing pricing = {});
-  Network(sim::EngineGroup& group,
-          std::shared_ptr<const SharedRouting> routing, std::uint64_t seed = 1,
-          Pricing pricing = {});
-  ~Network() override;
 
   /// Host management ------------------------------------------------------
   /// Attaches a host to a specific router.
@@ -142,8 +124,7 @@ class Network final : public sim::ShardMailbox {
   /// is offline or unreachable. Delivery is scheduled at
   ///   now + access(src) + path latency + access(dst) + size/upload.
   /// Offline-at-delivery destinations drop the message (packet loss under
-  /// churn). Safe to call from shard-window callbacks in group mode:
-  /// cross-shard deliveries are parked for the next barrier exchange.
+  /// churn).
   bool send(Message msg);
 
   /// Ground-truth round-trip time between two online peers, including
@@ -160,52 +141,18 @@ class Network final : public sim::ShardMailbox {
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
   [[nodiscard]] const std::vector<Host>& hosts() const { return hosts_; }
   [[nodiscard]] const AsTopology& topology() const { return *topology_; }
-  [[nodiscard]] TrafficAccountant& traffic() { return lanes_[0].traffic; }
-  /// Arms the per-(src AS, dst AS) TrafficMatrix on every lane (off by
-  /// default; costs one predicted branch per send while disabled). The
-  /// lane matrices merge in export_traffic like the scalar accountants.
+  [[nodiscard]] TrafficAccountant& traffic() { return traffic_; }
+  [[nodiscard]] const TrafficAccountant& traffic() const { return traffic_; }
+  /// Arms the per-(src AS, dst AS) TrafficMatrix (off by default; costs
+  /// one predicted branch per send while disabled).
   void enable_traffic_matrix();
-  [[nodiscard]] const TrafficAccountant& traffic() const {
-    return lanes_[0].traffic;
-  }
-  /// The calling context's engine: the current shard's during a window,
-  /// shard 0 (= the legacy engine) in driver code, where all clocks agree.
-  [[nodiscard]] sim::Engine& engine() {
-    return group_ != nullptr ? group_->current() : engine_;
-  }
+  [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] Rng& rng() { return rng_; }
 
-  /// Sharded execution -----------------------------------------------------
-  /// The engine group when constructed in sharded mode, nullptr otherwise.
-  [[nodiscard]] sim::EngineGroup* group() { return group_; }
-  /// The engine that owns `peer`'s events (its shard's; the single engine
-  /// in legacy mode). Timers tied to a peer must be scheduled here so
-  /// their cancellation stays on the peer's own shard.
-  [[nodiscard]] sim::Engine& engine_for(PeerId peer) {
-    return group_ != nullptr ? group_->shard(shard_of_[peer.value()])
-                             : engine_;
-  }
-  /// Shard index `peer`'s events run on (0 in legacy mode).
-  [[nodiscard]] std::uint32_t shard_of(PeerId peer) const {
-    return shard_of_[peer.value()];
-  }
-  /// Advances simulation to `until` — conservative windows in group mode,
-  /// a plain run in legacy mode. Returns events executed.
+  /// Advances simulation to `until`, first sizing the accountant's
+  /// billing windows so sends stay allocation-free. Returns events
+  /// executed.
   std::uint64_t run_until(sim::SimTime until);
-  /// Sets the scheduling origin on every engine (all shards); see
-  /// ScopedOrigin below.
-  void set_origin(std::uint8_t origin);
-  [[nodiscard]] std::uint8_t origin() const { return engine_.origin(); }
-
-  /// ShardMailbox: drains cross-shard outboxes into destination engines in
-  /// (timestamp, source-shard, send-order) order. Called by the group at
-  /// barriers; single-threaded.
-  void exchange() override;
-  /// ShardMailbox: min inter-AS link latency + 2x min host access latency.
-  /// Every cross-shard message crosses ASes (shard = AS mod K), so its
-  /// delay is at least this bound. +infinity when no inter-AS link or no
-  /// host exists (no cross-shard traffic is possible then).
-  [[nodiscard]] sim::SimTime lookahead_ms() const override;
 
   /// Per-message-type delivered counts (indexable by overlay tags).
   [[nodiscard]] std::uint64_t delivered_count(int type) const;
@@ -214,74 +161,26 @@ class Network final : public sim::ShardMailbox {
   /// Observability ---------------------------------------------------------
   /// Binds "net.*" counters in `registry` (nullptr detaches). Counters
   /// start from the registry's current values; bind before traffic flows
-  /// for totals to match delivered/dropped_count(). In group mode lane 0
-  /// binds into `registry` and every other lane into a private side
-  /// registry under the same names — merge_side_metrics() folds those in
-  /// at teardown.
+  /// for totals to match delivered/dropped_count().
   void set_metrics(obs::MetricsRegistry* registry);
-  /// Merges the per-shard side registries (lanes 1..K-1) into `into`.
-  /// Call once after the run; with one lane this is a no-op.
-  void merge_side_metrics(obs::MetricsRegistry& into) const;
-  /// Exports the lane-merged traffic split as "traffic.*" (equals the
-  /// serial accountant's export; with one lane it IS the serial export).
-  void export_traffic(obs::MetricsRegistry& registry) const;
   /// Emits kMsgSent/kMsgHop/kMsgDelivered/kMsgDropped records; nullptr
-  /// (the default) costs one predicted branch per send/delivery. All
-  /// lanes share the sink — only safe for single-shard runs.
-  void set_trace(obs::TraceSink* trace);
-  /// Sharded tracing: lane i writes into `mux`'s lane i+1 (mux lane 0 is
-  /// reserved for the driver/overlay). Pair with per-engine set_trace on
-  /// the same mux lanes; pass nullptr to detach.
-  void set_trace_mux(obs::ShardedTraceMux* mux);
+  /// (the default) costs one predicted branch per send/delivery.
+  void set_trace(obs::TraceSink* trace) { trace_ = trace; }
 
  private:
-  /// Per-shard delivery state. One lane per shard (one total in legacy
-  /// mode); during a parallel window only the owning shard's thread
-  /// touches its lane, and between windows only the coordinator does.
-  struct DeliveryLane {
-    // In-flight messages parked in a recycled slot pool. The engine's
-    // delivery closure captures only {this, lane, slot} — small enough
-    // for the engine's inline callback buffer — instead of the whole
-    // Message, which would spill the closure to the heap on every send.
-    SlotPool<Message> in_flight;
-    std::vector<std::uint64_t> delivered_by_type;
-    std::uint64_t dropped = 0;
-    TrafficAccountant traffic;
-    obs::Counter sent_count;       // unbound (no-op) until set_metrics
-    obs::Counter delivered_count;
-    obs::Counter dropped_metric;
-    obs::Counter bytes_sent;
-    /// Side registry the lane's counters bind into for lanes >= 1 (lane 0
-    /// binds into the caller's registry directly).
-    obs::MetricsRegistry side;
-    obs::TraceSink* trace = nullptr;
-  };
-
-  /// A cross-shard message awaiting the barrier exchange. `origin` is the
-  /// sender engine's scheduling origin at send time, re-attached on import
-  /// so the delivery event's fired record matches the serial attribution.
-  struct Parcel {
-    sim::SimTime when;
-    std::uint8_t origin;
-    Message msg;
-  };
-
-  void init_lanes(std::size_t count, const Pricing& pricing);
-
   /// Path lookup dispatch: shared snapshot (pure read) or owned lazy table.
   [[nodiscard]] PathInfo route(RouterId src, RouterId dst) {
     return shared_routing_ != nullptr ? shared_routing_->path(src, dst)
                                       : owned_routing_->path(src, dst);
   }
 
-  /// Executes one delivery out of `lane`'s in-flight pool (the engine
-  /// callback body; runs on the lane's shard).
-  void deliver(std::uint32_t lane, std::uint32_t slot);
+  /// Executes one delivery out of the in-flight pool (the engine callback
+  /// body).
+  void deliver(std::uint32_t slot);
 
-  void drop_at_send(DeliveryLane& lane, const Message& msg, sim::SimTime now);
+  void drop_at_send(const Message& msg, sim::SimTime now);
 
-  sim::Engine& engine_;            ///< Legacy engine, or the group's shard 0.
-  sim::EngineGroup* group_ = nullptr;  ///< Null in legacy mode.
+  sim::Engine& engine_;
   std::shared_ptr<const SharedRouting> shared_routing_;  ///< Null when owned.
   const AsTopology* topology_;
   std::unique_ptr<RoutingTable> owned_routing_;  ///< Null when shared.
@@ -289,43 +188,20 @@ class Network final : public sim::ShardMailbox {
   std::vector<Host> hosts_;
   std::vector<std::vector<Handler>> handlers_;
   std::vector<std::uint32_t> hosts_per_as_;
-  std::vector<std::uint32_t> shard_of_;  ///< Peer -> shard (all 0 legacy).
 
-  std::vector<DeliveryLane> lanes_;  ///< max(1, shard count) lanes.
-  /// Cross-shard outboxes, indexed src_shard * K + dst_shard. Only the
-  /// source shard's thread appends to its row during a window; exchange()
-  /// drains all rows at the barrier.
-  std::vector<std::vector<Parcel>> outboxes_;
-  /// Scratch for exchange()'s canonical sort (kept to avoid per-barrier
-  /// allocation).
-  struct ParcelRef {
-    sim::SimTime when;
-    std::uint32_t box;
-    std::uint32_t idx;
-  };
-  std::vector<ParcelRef> exchange_refs_;
-
-  mutable bool lookahead_dirty_ = true;
-  mutable sim::SimTime lookahead_cache_ = 0.0;
-};
-
-/// RAII scheduling-origin scope over a Network's engine(s): the drop-in
-/// replacement for sim::OriginScope at overlay call sites, correct in both
-/// legacy (one engine) and sharded (origin set on every shard, where
-/// driver-phase scheduling may land) modes.
-class ScopedOrigin {
- public:
-  ScopedOrigin(Network& network, std::uint8_t origin)
-      : network_(network), previous_(network.origin()) {
-    network_.set_origin(origin);
-  }
-  ~ScopedOrigin() { network_.set_origin(previous_); }
-  ScopedOrigin(const ScopedOrigin&) = delete;
-  ScopedOrigin& operator=(const ScopedOrigin&) = delete;
-
- private:
-  Network& network_;
-  std::uint8_t previous_;
+  // In-flight messages parked in a recycled slot pool. The delivery
+  // closure captures only {this, slot} — small enough for the engine's
+  // inline callback buffer — instead of the whole Message, which would
+  // spill the closure to the heap on every send.
+  SlotPool<Message> in_flight_;
+  std::vector<std::uint64_t> delivered_by_type_;
+  std::uint64_t dropped_ = 0;
+  TrafficAccountant traffic_;
+  obs::Counter sent_metric_;  // unbound (no-op) until set_metrics
+  obs::Counter delivered_metric_;
+  obs::Counter dropped_metric_;
+  obs::Counter bytes_metric_;
+  obs::TraceSink* trace_ = nullptr;
 };
 
 }  // namespace uap2p::underlay

@@ -34,25 +34,6 @@ void TrafficMatrix::reserve_windows(sim::SimTime horizon) {
     if (series.capacity() < windows) series.reserve(windows);
 }
 
-void TrafficMatrix::merge_from(const TrafficMatrix& other) {
-  if (!other.enabled_) return;
-  if (!enabled_) enable(other.as_count_, other.window_ms_);
-  assert(as_count_ == other.as_count_ && window_ms_ == other.window_ms_);
-  for (const PairCell& src : other.cells_) {
-    PairCell& dst = cell_for(src.src_as, src.dst_as);
-    dst.bytes += src.bytes;
-    dst.messages += src.messages;
-    dst.transit_link_bytes += src.transit_link_bytes;
-    dst.peering_link_bytes += src.peering_link_bytes;
-  }
-  for (std::uint32_t as = 0; as < other.as_count_; ++as) {
-    const std::vector<double>& src = other.as_window_transit_bytes_[as];
-    std::vector<double>& dst = as_window_transit_bytes_[as];
-    if (dst.size() < src.size()) dst.resize(src.size(), 0.0);
-    for (std::size_t w = 0; w < src.size(); ++w) dst[w] += src[w];
-  }
-}
-
 void TrafficMatrix::reset() {
   pair_index_.clear();
   if (!dense_slots_.empty())
@@ -102,7 +83,7 @@ void TrafficMatrix::export_metrics(obs::MetricsRegistry& registry,
   if (!enabled_) return;
   char name[64];
   // Pair cells in (src, dst) order: the registration order is a pure
-  // function of which pairs carried traffic, not of lane/shard layout.
+  // function of which pairs carried traffic, not of first-record order.
   for (const PairCell& cell : sorted_cells()) {
     const auto base = [&](const char* suffix) {
       std::snprintf(name, sizeof name, "traffic.pair.%u.%u.%s", cell.src_as,

@@ -17,11 +17,9 @@
 // packed pair keys. The matrix is opt-in: a disabled matrix costs one
 // predicted branch per recorded message in TrafficAccountant::record.
 //
-// Determinism: cells accumulate commutatively (sums of integer byte
-// counts), the window series add element-wise, and exports sort by
-// (src, dst) — so per-shard lane matrices merged in lane order export
-// byte-identically to the serial run (enforced by the sharded-identity
-// gates together with the rest of the metrics snapshot).
+// Determinism: exports sort by (src, dst), so the metrics snapshot is a
+// pure function of which pairs carried traffic, never of the order in
+// which their first message was recorded.
 #pragma once
 
 #include <cassert>
@@ -39,8 +37,8 @@ struct Pricing;
 
 class TrafficMatrix {
  public:
-  /// One ordered (src AS, dst AS) cell. Byte counts stay integral so
-  /// lane merges are exact.
+  /// One ordered (src AS, dst AS) cell. Byte counts stay integral, so
+  /// the totals are exact at any traffic volume.
   struct PairCell {
     std::uint32_t src_as = 0;
     std::uint32_t dst_as = 0;
@@ -87,8 +85,6 @@ class TrafficMatrix {
   void reserve(std::size_t expected_pairs, sim::SimTime horizon);
   void reserve_windows(sim::SimTime horizon);
 
-  /// Element-wise merge (cells by pair key, series by window index).
-  void merge_from(const TrafficMatrix& other);
   void reset();
 
   [[nodiscard]] std::size_t pair_count() const { return cells_.size(); }

@@ -123,7 +123,7 @@ TEST(GnutellaAllocation, WindowedMatrixSteadyStateIsAllocationFree) {
   // The cost-observatory regime: per-AS-pair matrix armed, per-window
   // billing series growing with simulated time — and NO manual
   // reserve_windows call. Network::run_until forwards each quiesce
-  // horizon (plus an hour of lookahead) to every lane accountant, so
+  // horizon (plus an hour of lookahead) to the traffic accountant, so
   // once the pair cells exist the measured floods must never touch the
   // allocator: window growth happens in run_until's cold path, inside
   // capacity reserved a simulated hour ahead.

@@ -1,7 +1,6 @@
 // TrafficMatrix contract tests: opt-in recording, per-pair accumulation,
 // window alignment of the per-AS billing series, deterministic sorted
-// export, and the lane-merge identity the sharded gates rely on (split
-// recording merged in lane order must export byte-identically to serial).
+// export, and end-to-end feeding from Network::send.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -81,46 +80,9 @@ TEST(TrafficMatrix, ExportIsSortedAndWindowAligned) {
   EXPECT_EQ(json, again.to_json());
 }
 
-TEST(TrafficMatrix, LaneMergeExportsByteIdenticalToSerial) {
-  // The sharded-identity property in miniature: the same records split
-  // across two lane accountants (in a different interleaving) and merged
-  // in lane order must export byte-identically to one serial accountant.
-  const Pricing pricing;
-  auto record_all = [](TrafficAccountant& acc, int lane) {
-    if (lane != 1) {
-      acc.record(transit_path(2, 0), 100, 0.0, 0, 1);
-      acc.record(transit_path(1, 1), 40, 400000.0, 1, 2);
-    }
-    if (lane != 0) {
-      acc.record(transit_path(2, 0), 60, 200.0, 0, 1);
-      acc.record(transit_path(0, 0), 9, 100.0, 2, 2);
-    }
-  };
-
-  TrafficAccountant serial;
-  serial.enable_matrix(3);
-  serial.set_peering_links(2);
-  record_all(serial, /*lane=*/-1);
-
-  TrafficAccountant lane0, lane1;
-  lane0.enable_matrix(3);
-  lane1.enable_matrix(3);
-  lane0.set_peering_links(2);
-  lane1.set_peering_links(2);
-  record_all(lane0, 0);
-  record_all(lane1, 1);
-  TrafficAccountant merged = lane0;  // export_traffic copies lane 0
-  merged.merge_from(lane1);
-
-  obs::MetricsRegistry serial_reg, merged_reg;
-  serial.export_metrics(serial_reg);
-  merged.export_metrics(merged_reg);
-  EXPECT_EQ(serial_reg.to_json(), merged_reg.to_json());
-}
-
 TEST(TrafficMatrix, NetworkSendFeedsTheMatrix) {
   // End to end through Network: AS-attributed send() records must land in
-  // the lane matrix with the topology's AS ids.
+  // the matrix with the topology's AS ids.
   sim::Engine engine;
   const AsTopology topo = AsTopology::transit_stub(2, 3, 0.3);
   Network net(engine, topo, /*seed=*/5);
