@@ -324,6 +324,65 @@ BENCHMARK(BM_SnapshotOpenVerify)
     ->Arg(3000)
     ->Unit(benchmark::kMillisecond);
 
+static void BM_SnapshotWrite(benchmark::State& state) {
+  // snapshot::write of a hierarchically warmed table (landmarks included,
+  // as SharedRouting::build leaves it): the persist step of an oracle
+  // cold start. Each iteration writes a new file; removing it is untimed,
+  // so every write allocates fresh page cache like a first persist does.
+  // Arg = target router count on the warm-bench transit-stub underlay.
+  const underlay::AsTopology topo =
+      warm_bench_topology(std::size_t(state.range(0)));
+  underlay::RoutingTable table(topo);
+  table.warm_all_hierarchical();
+  (void)table.ensure_landmarks();
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "uap2p_bench_snapshot_write.uap2psnap")
+                               .string();
+  for (auto _ : state) {
+    std::string error;
+    if (!underlay::snapshot::write(topo, table, path, &error)) {
+      state.SkipWithError(error.c_str());
+      return;
+    }
+    state.PauseTiming();
+    std::remove(path.c_str());
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          std::int64_t(table.row_bytes()));
+  state.SetItemsProcessed(state.iterations() *
+                          std::int64_t(topo.router_count()));  // rows
+  state.SetLabel(std::to_string(topo.router_count()) + " routers");
+}
+BENCHMARK(BM_SnapshotWrite)
+    ->Arg(1000)
+    ->Arg(3000)
+    ->Unit(benchmark::kMillisecond);
+
+static void BM_AsHopsWarm(benchmark::State& state) {
+  // AsTopology::warm_as_hops, the AS-hop BFS rows the oracle ranks by:
+  // paid once per SharedRouting build and once per snapshot load. Arg =
+  // AS count: 93 is the Gnutella lab's transit_stub(3, 30), 910 the
+  // oracle's transit_stub(10, 90). Each iteration warms a fresh copy of
+  // a topology whose AS CSR is built (the copy is untimed).
+  const std::size_t ases = std::size_t(state.range(0));
+  const std::size_t transit = ases < 300 ? 3 : 10;
+  const underlay::AsTopology topo = underlay::AsTopology::transit_stub(
+      transit, ases / transit - 1, 0.3);
+  (void)topo.as_csr();
+  for (auto _ : state) {
+    state.PauseTiming();
+    const underlay::AsTopology fresh = topo;
+    state.ResumeTiming();
+    fresh.warm_as_hops();
+    benchmark::DoNotOptimize(fresh.as_hop_distance(AsId(0), AsId(1)));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          std::int64_t(topo.as_count()));  // BFS sources
+  state.SetLabel(std::to_string(topo.as_count()) + " ASes");
+}
+BENCHMARK(BM_AsHopsWarm)->Arg(93)->Arg(910);
+
 static void BM_RoutingCachedPath(benchmark::State& state) {
   const underlay::AsTopology topo = underlay::AsTopology::transit_stub(3, 20, 0.3);
   underlay::RoutingTable routing(topo);

@@ -31,6 +31,10 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 constexpr std::uint64_t kLaneSeed = 0x9e3779b97f4a7c15ull;
 constexpr std::size_t kAlign = 64;
 constexpr std::size_t kMaxSections = 64;
+/// snapshot::write's staging buffer: big enough that each flush is one
+/// cheap write(2), small enough that a staged piece is still in L2 when
+/// the row hasher reads it back.
+constexpr std::size_t kStageBytes = 256 * 1024;
 
 /// Streaming form of content_hash: 64-byte blocks feed eight independent
 /// FNV-1a chains (one 8-byte word each); finish() folds the lanes and
@@ -113,9 +117,10 @@ void set_error(std::string* error, std::string message) {
 }
 
 /// Process-wide registry of file identities whose section contents have
-/// already been hash-verified; an unchanged (path, size, mtime) pair is
-/// trusted on re-open (the expensive part of open() is re-reading a
-/// multi-hundred-MB image at memory bandwidth just to re-hash it).
+/// already been hash-verified; an unchanged (path, device, inode, size,
+/// mtime, ctime) identity is trusted on re-open (the expensive part of
+/// open() is re-reading a multi-hundred-MB image at memory bandwidth just
+/// to re-hash it).
 class VerifiedIdentities {
  public:
   [[nodiscard]] bool contains(const std::string& key) {
@@ -141,9 +146,15 @@ VerifiedIdentities& verified_identities() {
 #if defined(UAP2P_SNAPSHOT_MMAP)
   struct stat info;
   if (::stat(path.c_str(), &info) == 0) {
-    return path + "|" + std::to_string(info.st_size) + "|" +
-           std::to_string(info.st_mtim.tv_sec) + "." +
-           std::to_string(info.st_mtim.tv_nsec);
+    // mtime alone is forgeable (utimensat restores it after an in-place
+    // edit); ctime is not settable from user space and moves on every
+    // write, and (dev, inode) pins the file itself.
+    const auto stamp = [](const struct timespec& t) {
+      return std::to_string(t.tv_sec) + "." + std::to_string(t.tv_nsec);
+    };
+    return path + "|" + std::to_string(info.st_dev) + "|" +
+           std::to_string(info.st_ino) + "|" + std::to_string(info.st_size) +
+           "|" + stamp(info.st_mtim) + "|" + stamp(info.st_ctim);
   }
 #endif
   return {};  // unknown identity: never remembered as verified
@@ -229,27 +240,79 @@ bool write(const AsTopology& topology, const RoutingTable& table,
   }
   const std::size_t kSectionCount = specs.size();
 
-  // Lay the sections out and hash them (rows are hashed per source row so
-  // the O(N²) image never needs a contiguous staging copy).
+  // Lay the sections out and hash every section but the row image, which
+  // is hashed while it streams through the staging buffer below.
   std::vector<SectionRecord> records(kSectionCount);
   std::size_t offset =
       align_up(sizeof(Header) + kSectionCount * sizeof(SectionRecord));
+  std::size_t rows_index = 0;
   for (std::size_t i = 0; i < kSectionCount; ++i) {
     records[i].id = static_cast<std::uint32_t>(specs[i].id);
     records[i].offset = offset;
     records[i].size = specs[i].size;
     if (specs[i].id == SectionId::kDestRows) {
-      Hasher hasher;
-      for (std::size_t src = 0; src < n; ++src) {
-        const auto row = table.row(RouterId(static_cast<std::uint32_t>(src)));
-        hasher.update(row.data(), row.size_bytes());
-      }
-      records[i].hash = hasher.finish();
+      rows_index = i;
     } else {
       records[i].hash = content_hash(specs[i].data, specs[i].size);
     }
     offset = align_up(offset + specs[i].size);
   }
+
+  const std::string tmp = path + ".tmp";
+  std::FILE* file = std::fopen(tmp.c_str(), "wb");
+  if (file == nullptr) {
+    set_error(error, "cannot open " + tmp + " for writing");
+    return false;
+  }
+  // One pass over the file: everything goes through a kStageBytes staging
+  // buffer flushed with one unbuffered fwrite, so every flush starts on a
+  // kStageBytes-aligned offset. The header and section table go out as
+  // zeroed placeholders and are rewritten once the row hash is known.
+  std::setvbuf(file, nullptr, _IONBF, 0);
+  const std::unique_ptr<std::byte[]> stage(new std::byte[kStageBytes]);
+  std::size_t staged = 0;
+  bool ok = true;
+  auto flush = [&] {
+    ok = ok && std::fwrite(stage.get(), 1, staged, file) == staged;
+    staged = 0;
+  };
+  // Appends `size` bytes (zeros when `data` is null), feeding each staged
+  // piece to `hasher` while it is cache-hot.
+  auto emit = [&](const void* data, std::size_t size,
+                  Hasher* hasher = nullptr) {
+    const auto* p = static_cast<const std::byte*>(data);
+    while (ok && size != 0) {
+      const std::size_t take = std::min(size, kStageBytes - staged);
+      std::byte* dst = stage.get() + staged;
+      if (p != nullptr) {
+        std::memcpy(dst, p, take);
+        p += take;
+      } else {
+        std::memset(dst, 0, take);
+      }
+      if (hasher != nullptr) hasher->update(dst, take);
+      staged += take;
+      size -= take;
+      if (staged == kStageBytes) flush();
+    }
+  };
+  std::size_t written = 0;
+  for (std::size_t i = 0; i < kSectionCount; ++i) {
+    const std::size_t section_offset = records[i].offset;
+    emit(nullptr, section_offset - written);  // placeholders or padding
+    if (i == rows_index) {
+      Hasher hasher;
+      for (std::size_t src = 0; src < n; ++src) {
+        const auto row = table.row(RouterId(static_cast<std::uint32_t>(src)));
+        emit(row.data(), row.size_bytes(), &hasher);
+      }
+      records[i].hash = hasher.finish();
+    } else {
+      emit(specs[i].data, specs[i].size);
+    }
+    written = section_offset + specs[i].size;
+  }
+  flush();
 
   Header header;
   header.section_count = kSectionCount;
@@ -259,36 +322,10 @@ bool write(const AsTopology& topology, const RoutingTable& table,
   header.max_weight = csr.max_weight;
   header.content_hash = fold_section_hashes(records);
   header.header_hash = header_table_hash(header, records);
-
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) {
-    set_error(error, "cannot open " + tmp + " for writing");
-    return false;
-  }
-  const std::byte padding[kAlign] = {};
-  std::size_t written = 0;
-  auto emit = [&](const void* data, std::size_t size) {
-    written += size;
-    return size == 0 || std::fwrite(data, 1, size, file) == size;
-  };
-  auto pad_to = [&](std::size_t target) {
-    return emit(padding, target - written);
-  };
-  bool ok = emit(&header, sizeof(header)) &&
-            emit(records.data(), records.size() * sizeof(SectionRecord));
-  for (std::size_t i = 0; ok && i < kSectionCount; ++i) {
-    ok = pad_to(records[i].offset);
-    if (!ok) break;
-    if (specs[i].id == SectionId::kDestRows) {
-      for (std::size_t src = 0; ok && src < n; ++src) {
-        const auto row = table.row(RouterId(static_cast<std::uint32_t>(src)));
-        ok = emit(row.data(), row.size_bytes());
-      }
-    } else {
-      ok = emit(specs[i].data, specs[i].size);
-    }
-  }
+  ok = ok && std::fseek(file, 0, SEEK_SET) == 0 &&
+       std::fwrite(&header, sizeof(header), 1, file) == 1 &&
+       std::fwrite(records.data(), sizeof(SectionRecord), kSectionCount,
+                   file) == kSectionCount;
   ok = ok && std::fflush(file) == 0;
   ok = std::fclose(file) == 0 && ok;
   if (!ok) {

@@ -1,6 +1,7 @@
 #include "underlay/topology.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -339,14 +340,51 @@ std::size_t AsTopology::as_hop_distance(AsId from, AsId to) const {
 
 void AsTopology::warm_as_hops(std::size_t threads) const {
   (void)as_csr();  // build once, before workers share it read-only
-  if (as_hop_cache_.size() != ases_.size()) {
-    as_hop_cache_.assign(ases_.size(), {});
-  }
+  const std::size_t n = ases_.size();
+  if (as_hop_cache_.size() != n) as_hop_cache_.assign(n, {});
+  // Bit-parallel multi-source BFS: source first + i owns bit i of a
+  // per-AS word, so one level of 64 BFS runs is one sweep of the AS CSR.
+  // Tasks write only their own sources' rows.
   parallel_for(
-      ases_.size(),
-      [this](std::size_t a) {
-        auto& dist = as_hop_cache_[a];
-        if (dist.empty()) fill_as_row(dist, AsId(static_cast<std::uint32_t>(a)));
+      (n + 63) / 64,
+      [this, n](std::size_t batch) {
+        const AsCsr& graph = as_csr_;
+        const std::size_t first = batch * 64;
+        const std::size_t count = std::min<std::size_t>(64, n - first);
+        std::vector<std::uint64_t> visited(n, 0), frontier(n, 0), next(n);
+        std::size_t* rows[64] = {};
+        bool any = false;
+        for (std::size_t i = 0; i < count; ++i) {
+          auto& dist = as_hop_cache_[first + i];
+          if (!dist.empty()) continue;  // already filled lazily
+          dist.assign(n, SIZE_MAX);
+          dist[first + i] = 0;
+          rows[i] = dist.data();
+          visited[first + i] = frontier[first + i] = std::uint64_t{1} << i;
+          any = true;
+        }
+        for (std::size_t level = 1; any; ++level) {
+          std::fill(next.begin(), next.end(), 0);
+          for (std::size_t u = 0; u < n; ++u) {
+            const std::uint64_t bits = frontier[u];
+            if (bits == 0) continue;
+            for (std::uint32_t e = graph.offsets[u]; e < graph.offsets[u + 1];
+                 ++e) {
+              next[graph.heads[e].value()] |= bits;
+            }
+          }
+          any = false;
+          for (std::size_t v = 0; v < n; ++v) {
+            std::uint64_t fresh = next[v] & ~visited[v];
+            frontier[v] = fresh;
+            if (fresh == 0) continue;
+            visited[v] |= fresh;
+            any = true;
+            for (; fresh != 0; fresh &= fresh - 1) {
+              rows[std::countr_zero(fresh)][v] = level;
+            }
+          }
+        }
       },
       threads);
 }

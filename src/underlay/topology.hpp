@@ -169,9 +169,15 @@ class AsTopology {
   [[nodiscard]] std::size_t as_hop_distance(AsId from, AsId to) const;
 
   /// Precomputes every per-source AS-hop BFS row (spread over `threads`,
-  /// 0 = hardware concurrency). After warming, as_hop_distance is a pure
-  /// read — required before sharing the topology across threads, since
-  /// the lazy per-source fill mutates the cache.
+  /// 0 = hardware concurrency). Sources go in batches of 64, one task
+  /// each: a batch is one bit-parallel BFS where each AS carries a 64-bit
+  /// visited/frontier mask (bit i = source first + i), so every level is
+  /// a single sweep of the AS CSR for all 64 sources, and a newly set bit
+  /// writes the level into that source's row. Rows already filled by a
+  /// lazy as_hop_distance are left alone. Distances equal the lazy
+  /// single-source BFS's. After warming, as_hop_distance is a pure read —
+  /// required before sharing the topology across threads, since the lazy
+  /// per-source fill mutates the cache.
   void warm_as_hops(std::size_t threads = 0) const;
 
   /// All ASes adjacent to `as` in the inter-AS graph (a view into the AS

@@ -7,10 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
+
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "underlay/hierarchy.hpp"
@@ -401,6 +408,133 @@ TEST(Snapshot, AcceptsOlderFormatVersion) {
   EXPECT_TRUE(shared->snapshot_backed());
   // load() rebuilds the landmark tables an old-format file cannot carry.
   EXPECT_NE(shared->table().landmarks(), nullptr);
+}
+
+TEST(Snapshot, ReverifiesAfterInPlaceEditWithRestoredMtime) {
+  // An in-place edit (same inode, same size) with the mtime put back
+  // must not pass as the file open() already verified.
+  const AsTopology topo = AsTopology::mesh(8, 0.5);
+  const std::string path = temp_path("forged_identity");
+  write_snapshot(topo, path);
+  std::string error;
+  std::uint64_t rows_offset = 0;
+  {
+    const auto snap = snapshot::MappedSnapshot::open(path, &error);
+    ASSERT_NE(snap, nullptr) << error;
+    for (const auto& record : snap->sections()) {
+      if (record.id == std::uint32_t(snapshot::SectionId::kDestRows)) {
+        rows_offset = record.offset;
+      }
+    }
+  }
+  ASSERT_NE(rows_offset, 0u);
+  struct stat before;
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.good());
+    char byte = 0;
+    file.seekg(std::streamoff(rows_offset + 17));
+    file.read(&byte, 1);
+    byte = char(byte ^ 0x40);
+    file.seekp(std::streamoff(rows_offset + 17));
+    file.write(&byte, 1);
+    ASSERT_TRUE(file.good());
+  }
+  // Put the mtime back. On a kernel with coarse timestamps the edit can
+  // land in the same clock tick as the write, so repeat the restore
+  // (which itself moves ctime) until ctime has left the old value.
+  const struct timespec times[2] = {before.st_atim, before.st_mtim};
+  struct stat after;
+  for (int tries = 0;; ++tries) {
+    ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
+    ASSERT_EQ(::stat(path.c_str(), &after), 0);
+    if (after.st_ctim.tv_sec != before.st_ctim.tv_sec ||
+        after.st_ctim.tv_nsec != before.st_ctim.tv_nsec) {
+      break;
+    }
+    ASSERT_LT(tries, 1000);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(after.st_ino, before.st_ino);
+  ASSERT_EQ(after.st_size, before.st_size);
+  ASSERT_EQ(after.st_mtim.tv_sec, before.st_mtim.tv_sec);
+  ASSERT_EQ(after.st_mtim.tv_nsec, before.st_mtim.tv_nsec);
+
+  EXPECT_EQ(snapshot::MappedSnapshot::open(path, &error), nullptr);
+  EXPECT_NE(error.find("checksum mismatch in section dest-rows"),
+            std::string::npos)
+      << error;
+}
+
+/// Writes `table` to a fresh temp file named `name` and returns its bytes.
+std::vector<char> written_bytes(const AsTopology& topo,
+                                const RoutingTable& table,
+                                const std::string& name) {
+  const std::string path = temp_path(name);
+  std::string error;
+  EXPECT_TRUE(snapshot::write(topo, table, path, &error)) << error;
+  return read_file(path);
+}
+
+TEST(Snapshot, LazyOwnedRowsWriteSameBytesAsArenaRows) {
+  // One writer path for both row layouts: rows computed one by one by
+  // path() (each in its own allocation) must serialize exactly like the
+  // contiguous row arena of a full warm. 60 routers fit one staging
+  // chunk; 204 routers' rows straddle chunk boundaries.
+  for (const AsTopology& topo :
+       {AsTopology::mesh(20, 0.4), AsTopology::transit_stub(4, 16, 0.3)}) {
+    const auto n = static_cast<std::uint32_t>(topo.router_count());
+    RoutingTable arena(topo);
+    arena.warm_all_hierarchical();
+    arena.ensure_landmarks();
+
+    RoutingTable lazy(topo);
+    lazy.ensure_hierarchy();  // the plan, for the core-order section
+    lazy.ensure_landmarks();
+    for (std::uint32_t src = n; src-- > 0;) {
+      (void)lazy.path(RouterId(src), RouterId(0));
+    }
+    ASSERT_EQ(lazy.cached_sources(), std::size_t(n));
+
+    const std::string tag = std::to_string(n);
+    const std::vector<char> want = written_bytes(topo, arena, "arena" + tag);
+    EXPECT_EQ(written_bytes(topo, lazy, "lazy" + tag), want) << n << " routers";
+    EXPECT_GT(want.size(), std::size_t(n) * n * 32);
+  }
+}
+
+TEST(Snapshot, ShortWriteFailsCleanly) {
+  // The file-size limit makes write(2) fail partway through the rows;
+  // write() must report it, remove its temp file and leave the previous
+  // file at `path` untouched (the header goes out last, so a torn temp
+  // file is never renamed into place).
+  const AsTopology topo = AsTopology::transit_stub(4, 16, 0.3);
+  RoutingTable table(topo);
+  table.warm_all_hierarchical();
+  const std::string path = temp_path("short_write");
+  std::string error;
+  ASSERT_TRUE(snapshot::write(topo, table, path, &error)) << error;
+  const std::vector<char> previous = read_file(path);
+
+  struct rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  struct rlimit lowered = saved;
+  lowered.rlim_cur = 300 * 1024;  // past the first 256 KiB flush
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  const bool limited = ::setrlimit(RLIMIT_FSIZE, &lowered) == 0;
+  const bool ok = limited && snapshot::write(topo, table, path, &error);
+  const bool restored = ::setrlimit(RLIMIT_FSIZE, &saved) == 0;
+  std::signal(SIGXFSZ, old_handler);
+  ASSERT_TRUE(limited);
+  ASSERT_TRUE(restored);
+
+  EXPECT_FALSE(ok);
+  EXPECT_NE(error.find("short write"), std::string::npos) << error;
+  struct stat info;
+  EXPECT_NE(::stat((path + ".tmp").c_str(), &info), 0) << "temp file left";
+  EXPECT_EQ(read_file(path), previous);
 }
 
 TEST(Snapshot, ContentHashIsStableAndSensitive) {

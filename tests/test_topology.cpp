@@ -101,6 +101,77 @@ TEST(Topology, AsHopDistanceProperties) {
   }
 }
 
+/// Every pair of `warmed` against a copy of the same topology that only
+/// ever fills rows lazily (single-source BFS).
+void expect_hops_match_lazy(const AsTopology& warmed, const AsTopology& lazy) {
+  const auto n = static_cast<std::uint32_t>(warmed.as_count());
+  ASSERT_EQ(lazy.as_count(), n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = 0; j < n; ++j) {
+      ASSERT_EQ(warmed.as_hop_distance(AsId(i), AsId(j)),
+                lazy.as_hop_distance(AsId(i), AsId(j)))
+          << "as_hop_distance(" << i << ", " << j << ") of " << n << " ASes";
+    }
+  }
+}
+
+TEST(Topology, WarmAsHopsMatchesLazyBfs) {
+  // warm_as_hops runs 64 sources per bit-parallel BFS; the counts cover
+  // one source, a partial batch, an exact batch, one spill source and a
+  // partial last batch.
+  for (const std::size_t ases : {1u, 63u, 64u, 65u, 130u}) {
+    const double p = 4.0 / double(ases);
+    const AsTopology lazy = AsTopology::mesh(ases, p);
+    for (const std::size_t threads : {1u, 4u}) {
+      const AsTopology warmed = AsTopology::mesh(ases, p);
+      warmed.warm_as_hops(threads);
+      expect_hops_match_lazy(warmed, lazy);
+    }
+  }
+
+  // A second component: cross-component pairs stay SIZE_MAX.
+  AsTopology split = AsTopology::mesh(70, 0.05);
+  const AsId a = split.add_as("island-a", false, {});
+  const AsId b = split.add_as("island-b", false, {});
+  split.add_router(a, {});
+  split.add_router(b, {});
+  split.connect_ases(a, b, LinkType::kPeering);
+  {
+    const AsTopology lazy = split;
+    split.warm_as_hops(4);
+    EXPECT_EQ(split.as_hop_distance(AsId(0), a), SIZE_MAX);
+    EXPECT_EQ(split.as_hop_distance(b, AsId(69)), SIZE_MAX);
+    EXPECT_EQ(split.as_hop_distance(a, b), 1u);
+    expect_hops_match_lazy(split, lazy);
+  }
+
+  // Some rows were filled lazily before the warm (first and last
+  // sources of both batches among them).
+  {
+    const AsTopology base = AsTopology::mesh(130, 0.03);
+    const AsTopology partly = base;
+    for (const std::uint32_t src : {0u, 5u, 63u, 64u, 129u}) {
+      (void)partly.as_hop_distance(AsId(src), AsId(1));
+    }
+    partly.warm_as_hops(4);
+    expect_hops_match_lazy(partly, base);
+  }
+
+  // Mutations drop the warmed rows; a re-warm sees the new edges.
+  {
+    AsTopology grown = AsTopology::mesh(65, 0.05);
+    grown.warm_as_hops(4);
+    const AsId extra = grown.add_as("extra", false, {});
+    grown.add_router(extra, {});
+    grown.connect_ases(AsId(0), extra, LinkType::kTransit);
+    grown.connect_ases(AsId(40), extra, LinkType::kTransit);
+    const AsTopology lazy = grown;
+    grown.warm_as_hops(4);
+    EXPECT_EQ(grown.as_hop_distance(AsId(0), extra), 1u);
+    expect_hops_match_lazy(grown, lazy);
+  }
+}
+
 TEST(Topology, PrefixesAreUniqueAndWellFormed) {
   const AsTopology topo = AsTopology::mesh(20, 0.1);
   std::set<std::uint32_t> prefixes;
