@@ -4,8 +4,6 @@
 #pragma once
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -14,10 +12,10 @@
 #include <string>
 #include <string_view>
 #include <system_error>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/flag_number.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -71,32 +69,6 @@ inline Options& options() {
   return instance;
 }
 
-namespace detail {
-/// The whole of `value` as a non-negative decimal T: no whitespace, no
-/// trailing characters, no sign on integers, and finite for floating
-/// point. Anything else prints "error: ..." and exits with status 2, the
-/// usage-error convention of the tools.
-template <typename T>
-T parse_flag_number(std::string_view flag, std::string_view value) {
-  T out{};
-  const char* end = value.data() + value.size();
-  const auto [stop, ec] = std::from_chars(value.data(), end, out);
-  bool ok = ec == std::errc() && stop == end;
-  if constexpr (std::is_floating_point_v<T>) {
-    ok = ok && std::isfinite(out) && out >= 0.0;
-  }
-  if (!ok) {
-    std::fprintf(stderr, "error: %.*s expects %s, got '%.*s'\n",
-                 static_cast<int>(flag.size()), flag.data(),
-                 std::is_integral_v<T> ? "a non-negative integer"
-                                       : "a finite non-negative number",
-                 static_cast<int>(value.size()), value.data());
-    std::exit(2);
-  }
-  return out;
-}
-}  // namespace detail
-
 /// Parses the shared bench flags (--serial, --metrics=, --trace=, ...);
 /// call first thing in main. Unrecognized arguments are left alone; a
 /// numeric flag whose value does not parse completely exits with status 2.
@@ -112,14 +84,12 @@ inline void parse_flags(int argc, char** argv) {
       options().trace_path = std::string(arg.substr(8));
     } else if (arg.rfind("--seed-offset=", 0) == 0) {
       options().seed_offset =
-          detail::parse_flag_number<std::uint64_t>("--seed-offset",
-                                                   arg.substr(14));
+          parse_flag_number<std::uint64_t>("--seed-offset", arg.substr(14));
     } else if (arg.rfind("--snapshot-dir=", 0) == 0) {
       options().snapshot_dir = std::string(arg.substr(15));
     } else if (arg.rfind("--metrics-every=", 0) == 0) {
       options().metrics_every_ms =
-          detail::parse_flag_number<double>("--metrics-every",
-                                            arg.substr(16));
+          parse_flag_number<double>("--metrics-every", arg.substr(16));
     } else if (arg.rfind("--dash=", 0) == 0) {
       options().dash_dir = std::string(arg.substr(7));
     }

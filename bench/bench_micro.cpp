@@ -104,49 +104,25 @@ BENCHMARK(BM_RoutingColdDijkstra)->Arg(5)->Arg(20)->Arg(60)->Arg(200)->Arg(1000)
 
 // Transit-stub underlay sized to ~`routers` total routers (10 providers,
 // 3 routers/AS): the topology family the hierarchical preprocessing
-// contracts, shared by the flat/hier warm-all pair below so their rows —
-// byte-identical by the routing property suite — are timed on identical
-// inputs.
+// contracts, shared by the warm and build rows below so they time
+// identical inputs.
 static underlay::AsTopology warm_bench_topology(std::size_t routers) {
   const std::size_t transit = 10;
   const std::size_t stubs_per_transit = (routers / 3 - transit) / transit;
   return underlay::AsTopology::transit_stub(transit, stubs_per_transit, 0.3);
 }
 
-static void BM_RoutingWarmAll(benchmark::State& state) {
-  // Batch all-pairs warm-up over the process pool: the provider-side
-  // precompute a P4P/oracle deployment would run per topology snapshot.
-  // Arg = target router count on a 10-provider transit-stub underlay;
-  // /3000 is the flat path's scale wall (quadratic state beyond it), and
-  // there is deliberately no /10000 row — at that size only the
-  // hierarchical warm (BM_RoutingWarmAllHier) fits the smoke budget.
-  const underlay::AsTopology topo =
-      warm_bench_topology(std::size_t(state.range(0)));
-  (void)topo.csr();  // charge the one-off CSR build to setup, not the loop
-  for (auto _ : state) {
-    underlay::RoutingTable routing(topo);
-    routing.warm_all();
-    benchmark::DoNotOptimize(routing.cached_sources());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          std::int64_t(topo.router_count()));  // sources
-  state.SetLabel(std::to_string(topo.router_count()) + " routers");
-}
-BENCHMARK(BM_RoutingWarmAll)
-    ->Arg(1000)
-    ->Arg(3000)
-    ->Unit(benchmark::kMillisecond);
-
 static void BM_RoutingWarmAllHier(benchmark::State& state) {
-  // The same warm-up through the hierarchical path (DESIGN.md
-  // "Hierarchical routing"): pendant + stub-group contraction, Dijkstra
-  // only over the transit core, exact aggregate re-expansion. Rows are
-  // byte-identical to BM_RoutingWarmAll on the same topology; /10000 is
-  // the row the flat path has no entry for. The contraction plan is
-  // cached on the topology, so only the first iteration builds it; the
-  // row is the re-warm of an unchanged topology, not a cold build (that
-  // is BM_RoutingBuildHier). The first iteration also faults in a fresh
-  // row arena, recycled across tables thereafter.
+  // Batch all-pairs warm-up, the provider-side precompute a P4P/oracle
+  // deployment runs per topology snapshot, through the hierarchical path
+  // (DESIGN.md "Hierarchical routing"): pendant + stub-group contraction,
+  // Dijkstra only over the transit core, exact aggregate re-expansion.
+  // Rows are byte-identical to the per-source Dijkstra (path()). Arg =
+  // target router count on a 10-provider transit-stub underlay. The
+  // contraction plan is cached on the topology, so only the first
+  // iteration builds it; the row is the re-warm of an unchanged topology,
+  // not a cold build (that is BM_RoutingBuildHier). The first iteration
+  // also faults in a fresh row arena, recycled across tables thereafter.
   const underlay::AsTopology topo =
       warm_bench_topology(std::size_t(state.range(0)));
   (void)topo.csr();
@@ -243,7 +219,7 @@ static const std::string& snapshot_bench_file(std::size_t ases) {
   if (!std::filesystem::exists(path, ec) ||
       underlay::SharedRouting::load(topo, path, 0, &error) == nullptr) {
     underlay::RoutingTable table(topo);
-    table.warm_all();
+    table.warm_all_hierarchical();
     if (!underlay::snapshot::write(topo, table, path, &error)) {
       std::fprintf(stderr, "bench_micro: snapshot write failed: %s\n",
                    error.c_str());
@@ -254,15 +230,15 @@ static const std::string& snapshot_bench_file(std::size_t ases) {
 }
 
 static void BM_SnapshotLoad(benchmark::State& state) {
-  // The zero-Dijkstra counterpart of BM_RoutingWarmAll: mmap-open the
-  // persistent snapshot, byte-compare its CSR against the live topology,
-  // and adopt the row image into a fresh RoutingTable — the warmed-table
-  // load path benches take on a --snapshot-dir= cache hit. Arg is the
-  // router count (/3000 pairs with BM_RoutingWarmAll/1000, the same
-  // 1000-AS mesh). Like WarmAll, the loop builds a fresh table over a
-  // pre-built topology: topology generation / CSR build / AS-hop warm are
-  // setup in both, so ns-per-iter compares the row-filling machinery
-  // alone (Dijkstra-all-sources vs mmap+verify+adopt). Steady-state
+  // The zero-Dijkstra counterpart of the batch warm
+  // (BM_RoutingWarmAllHier): mmap-open the persistent snapshot,
+  // byte-compare its CSR against the live topology, and adopt the row
+  // image into a fresh RoutingTable — the warmed-table load path benches
+  // take on a --snapshot-dir= cache hit. Arg is the router count of a
+  // routers/3-AS mesh. Like the warm rows, the loop builds a fresh table
+  // over a pre-built topology: topology generation / CSR build / AS-hop
+  // warm are setup in both, so ns-per-iter compares the row-filling
+  // machinery alone (warm vs mmap+verify+adopt). Steady-state
   // regime: the one-time full content verify of the file identity is paid
   // in setup (BM_SnapshotOpenVerify prices it alone).
   const auto routers = static_cast<std::size_t>(state.range(0));
@@ -270,7 +246,7 @@ static void BM_SnapshotLoad(benchmark::State& state) {
   const std::string& path = snapshot_bench_file(ases);
   const underlay::AsTopology topo =
       underlay::AsTopology::mesh(ases, 8.0 / double(ases));
-  (void)topo.csr();  // charge the one-off CSR build to setup, like WarmAll
+  (void)topo.csr();  // charge the one-off CSR build to setup, like the warm
   {
     std::string error;  // pre-verify so the loop measures steady state
     if (underlay::snapshot::MappedSnapshot::open(path, &error) == nullptr) {
@@ -529,7 +505,7 @@ BENCHMARK(BM_ObsOverhead)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 static void BM_ParallelForDispatch(benchmark::State& state) {
   // Cost of fanning a tiny sweep out and joining it; dominated by pool
   // dispatch overhead, which used to include thread creation per call.
-  process_pool();  // lazy init outside the timed region
+  parallel_for(4, [](std::size_t) {}, 4);  // start the pool untimed
   std::atomic<std::uint64_t> sink{0};
   for (auto _ : state) {
     parallel_for(
@@ -547,7 +523,7 @@ static void BM_TrialFanout(benchmark::State& state) {
   // gather. The trial body is ~1k Rng draws, small enough that harness
   // overhead is visible, big enough that threads can genuinely overlap.
   // Items are completed trials.
-  process_pool();  // lazy init outside the timed region
+  parallel_for(4, [](std::size_t) {}, 4);  // start the pool untimed
   const auto threads = std::size_t(state.range(0));
   constexpr std::size_t kTrials = 64;
   for (auto _ : state) {

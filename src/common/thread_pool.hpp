@@ -1,94 +1,27 @@
-// Work-stealing-free, mutex-based thread pool for parallel experiment sweeps.
+// Parallel sweeps over a process-wide worker pool.
 //
 // Simulation runs themselves are single-threaded (a discrete-event loop is
 // inherently sequential), but benches sweep parameters across many
 // independent runs; parallel_for distributes those runs over hardware
 // threads. On a single-core host it degrades gracefully to inline
-// execution.
+// execution. parallel_for and parallel_map are the whole interface: the
+// pool behind them is an implementation detail of thread_pool.cpp.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <queue>
-#include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace uap2p {
 
-/// Pool introspection snapshot. Dispatch counters only — never fold these
-/// into per-trial metrics registries: which worker ran what depends on
-/// scheduling, so pool stats are not part of the determinism contract.
-struct PoolStats {
-  std::uint64_t submitted = 0;   ///< tasks ever enqueued
-  std::uint64_t dispatched = 0;  ///< tasks pulled off the queue by workers
-  std::size_t queue_depth = 0;   ///< tasks waiting right now
-  std::size_t queue_high_water = 0;  ///< max tasks ever waiting at once
-};
-
-/// Fixed-size pool executing submitted tasks FIFO.
-class ThreadPool {
- public:
-  /// `threads == 0` selects std::thread::hardware_concurrency() (min 1).
-  explicit ThreadPool(std::size_t threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task; the returned future carries the result or exception.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    {
-      std::lock_guard lock(mutex_);
-      queue_.emplace([task] { (*task)(); });
-      ++stats_.submitted;
-      if (queue_.size() > stats_.queue_high_water)
-        stats_.queue_high_water = queue_.size();
-    }
-    cv_.notify_one();
-    return result;
-  }
-
-  [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
-
-  /// Introspection snapshot (taken under the queue mutex).
-  [[nodiscard]] PoolStats stats() const;
-
-  /// True when the calling thread is a worker of *any* ThreadPool. Used by
-  /// parallel_for to run nested invocations inline instead of deadlocking
-  /// on the shared process pool.
-  [[nodiscard]] static bool on_worker_thread();
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-  PoolStats stats_;  // queue_depth derived from queue_.size() on demand
-};
-
-/// The lazily-initialized process-wide pool (hardware_concurrency threads,
-/// created on first use, joined at process exit). parallel_for dispatches
-/// through this pool so bench sweeps stop paying thread creation and
-/// teardown per sweep point.
-ThreadPool& process_pool();
-
 /// Runs fn(i) for i in [0, n), spread over the shared process pool
-/// (`threads` caps the concurrency; 0 means hardware_concurrency).
-/// Exceptions from any iteration are rethrown (first one wins). Iteration
-/// order is unspecified; fn must be safe to run concurrently with itself.
-/// Runs inline when threads <= 1 or when called from inside a pool worker
+/// (`threads` caps the concurrency; 0 means hardware_concurrency). The
+/// pool is created on first use and joined at process exit. Exceptions
+/// from any iteration are rethrown (first one wins). Iteration order is
+/// unspecified; fn must be safe to run concurrently with itself. Runs
+/// inline when threads <= 1 or when called from inside another
+/// parallel_for's fn, on a pool worker or on the calling thread alike
 /// (nested parallelism degrades to sequential instead of deadlocking).
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   std::size_t threads = 0);

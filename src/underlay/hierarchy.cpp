@@ -824,35 +824,6 @@ void RoutingTable::warm_all_hierarchical(std::size_t threads) {
   cached_sources_ = n;
 }
 
-void RoutingTable::warm_all_hierarchical(ThreadPool& pool) {
-  const std::size_t n = topology_.router_count();
-  (void)topology_.csr();
-  const HierarchyPlan& plan = ensure_hierarchy();
-  ensure_row_arena();
-  const std::size_t lanes = std::min(pool.thread_count(), n);
-  if (lanes <= 1 || ThreadPool::on_worker_thread()) {
-    for (std::size_t src = 0; src < n; ++src) {
-      if (rows_[src].entries == nullptr) {
-        compute_row_hierarchical(static_cast<std::uint32_t>(src), plan);
-      }
-    }
-  } else {
-    std::vector<std::future<void>> done;
-    done.reserve(lanes);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      done.push_back(pool.submit([this, &plan, lane, lanes, n] {
-        for (std::size_t src = lane; src < n; src += lanes) {
-          if (rows_[src].entries == nullptr) {
-            compute_row_hierarchical(static_cast<std::uint32_t>(src), plan);
-          }
-        }
-      }));
-    }
-    for (auto& future : done) future.get();
-  }
-  cached_sources_ = n;
-}
-
 // --- ALT point-to-point queries ------------------------------------------
 
 namespace {

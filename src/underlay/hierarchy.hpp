@@ -7,18 +7,19 @@
 // over the contracted transit core, and re-expand the contracted parts by
 // folding aggregates through the (unique, precomputed) entry edges. The
 // contract is *byte identity*: RoutingTable::warm_all_hierarchical must
-// produce exactly the rows warm_all would — same IEEE-754 additions in
-// the same order, same canonical (distance, router id, CSR position)
-// tie-breaks — which is what lets snapshots, the bench cache, and the
-// oracle tier treat the two warm paths as interchangeable.
+// produce exactly the rows the per-source Dijkstra (path()) would — same
+// IEEE-754 additions in the same order, same canonical (distance, router
+// id, CSR position) tie-breaks — which is what lets snapshots, the bench
+// cache, and the oracle tier mix batch-warmed and lazily computed rows.
 //
 // The plan is conservative by construction: any router, component, or
 // whole topology that fails a contraction precondition (several distinct
 // attachments, edge weights small enough that float error could flip a
 // tie, ambiguous entry edges) simply stays in the Dijkstra core. The
 // degenerate plan — no pendants, no groups — makes
-// warm_all_hierarchical identical to warm_all, so the hierarchical path
-// is always correct and merely fastest when the topology cooperates.
+// warm_all_hierarchical one per-source Dijkstra per router, so the
+// hierarchical path is always correct and merely fastest when the
+// topology cooperates.
 //
 // AltLandmarks adds ALT (A*, landmarks, triangle inequality) lower
 // bounds on top: a handful of deterministic farthest-point landmarks
@@ -187,7 +188,8 @@ class HierarchyPlan {
     return star_group_count_;
   }
   /// True when the plan actually contracted something; false means
-  /// warm_all_hierarchical degenerates to the flat warm.
+  /// warm_all_hierarchical degenerates to one per-source Dijkstra per
+  /// router.
   [[nodiscard]] bool contracted() const {
     return !pendant_dests_.empty() || !groups_.empty();
   }

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/thread_pool.hpp"
 #include "underlay/calendar_queue.hpp"
 #include "underlay/hierarchy.hpp"
 #include "underlay/snapshot.hpp"
@@ -19,7 +18,7 @@ using detail::enc;
 
 /// Reusable per-thread Dijkstra scratch. thread_local (not per-table) so a
 /// fresh RoutingTable pays no scratch allocation after the first run on a
-/// thread, and warm_all workers each get their own.
+/// thread, and concurrent callers each get their own.
 struct DijkstraScratch {
   std::vector<sim::SimTime> dist;
   CalendarQueue queue;
@@ -184,48 +183,6 @@ std::vector<RouterId> RoutingTable::router_path(RouterId src, RouterId dst) {
   return {reversed.rbegin(), reversed.rend()};
 }
 
-void RoutingTable::warm_all(std::size_t threads) {
-  const std::size_t n = topology_.router_count();
-  (void)topology_.csr();  // build once before workers share it read-only
-  parallel_for(
-      n,
-      [this](std::size_t src) {
-        if (rows_[src].entries == nullptr) {
-          compute_row(static_cast<std::uint32_t>(src));
-        }
-      },
-      threads);
-  cached_sources_ = n;
-}
-
-void RoutingTable::warm_all(ThreadPool& pool) {
-  const std::size_t n = topology_.router_count();
-  (void)topology_.csr();
-  const std::size_t lanes = std::min(pool.thread_count(), n);
-  if (lanes <= 1 || ThreadPool::on_worker_thread()) {
-    // Nested parallelism degrades to inline, mirroring parallel_for.
-    for (std::size_t src = 0; src < n; ++src) {
-      if (rows_[src].entries == nullptr) {
-        compute_row(static_cast<std::uint32_t>(src));
-      }
-    }
-  } else {
-    std::vector<std::future<void>> done;
-    done.reserve(lanes);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      done.push_back(pool.submit([this, lane, lanes, n] {
-        for (std::size_t src = lane; src < n; src += lanes) {
-          if (rows_[src].entries == nullptr) {
-            compute_row(static_cast<std::uint32_t>(src));
-          }
-        }
-      }));
-    }
-    for (auto& future : done) future.get();
-  }
-  cached_sources_ = n;
-}
-
 void RoutingTable::adopt_rows(std::span<const DestEntry> image) {
   const std::size_t n = topology_.router_count();
   assert(image.size() == n * n);
@@ -271,10 +228,10 @@ std::shared_ptr<const SharedRouting> SharedRouting::build(AsTopology topology,
   std::shared_ptr<SharedRouting> shared(
       new SharedRouting(std::move(topology)));
   shared->topology_.warm_as_hops(threads);
-  // The hierarchical warm is byte-identical to warm_all (gated by the
-  // routing property suite and the snapshot-roundtrip verify), so every
-  // SharedRouting consumer — benches, the oracle tier, snapshot writes —
-  // rides the contracted path for free.
+  // The hierarchical warm is byte-identical to the per-source Dijkstra
+  // (path()), gated by the routing property suite and the
+  // snapshot-roundtrip verify, so every SharedRouting consumer — benches,
+  // the oracle tier, snapshot writes — rides the contracted path for free.
   shared->table_.warm_all_hierarchical(threads);
   shared->table_.ensure_landmarks();
   return shared;

@@ -1,13 +1,17 @@
 // Shortest-path routing over the underlay router graph.
 //
 // Routes are computed with Dijkstra over the topology's flat CSR adjacency
-// (underlay/topology.hpp) — one run per source router, cached lazily or
-// batch-warmed in parallel via warm_all. Per-source results are a compact
-// array of per-destination aggregates (latency, bottleneck, hop/crossing
-// counts, predecessor link): O(routers) per source with no per-pair path
-// vectors, so all-pairs state for 1000-AS topologies fits in memory. The
-// AS-level sequence is materialized lazily into an interned store only
-// when a caller asks for it (as_path). Real interdomain routing is
+// (underlay/topology.hpp) — one run per source router, cached lazily on
+// first query. warm_all_hierarchical is the one batch fill: it computes
+// every row in parallel over the contracted transit core
+// (underlay/hierarchy.hpp) and writes the bytes the per-source Dijkstra
+// would, which stays as the lazy-query path and the test reference.
+// Per-source results are a compact array of per-destination aggregates
+// (latency, bottleneck, hop/crossing counts, predecessor link): O(routers)
+// per source with no per-pair path vectors, so all-pairs state for
+// 1000-AS topologies fits in memory. The AS-level sequence is
+// materialized lazily into an interned store only when a caller asks for
+// it (as_path). Real interdomain routing is
 // policy-driven (valley-free BGP); latency-shortest paths are an accepted
 // simplification for overlay studies and match the testlab setup of [1].
 //
@@ -40,10 +44,6 @@
 #include "common/ids.hpp"
 #include "sim/time.hpp"
 #include "underlay/topology.hpp"
-
-namespace uap2p {
-class ThreadPool;
-}
 
 namespace uap2p::underlay {
 
@@ -137,7 +137,8 @@ class RoutingTable {
   [[nodiscard]] PathInfo path(RouterId src, RouterId dst) {
     return summarize(ensure_row(src.value())[dst.value()]);
   }
-  /// Read-only lookup on a warmed source (warm_all or a prior lazy query).
+  /// Read-only lookup on a warmed source (warm_all_hierarchical, a
+  /// snapshot attach, or a prior lazy query).
   /// Safe to call concurrently; SharedRouting exposes exactly this.
   [[nodiscard]] PathInfo path(RouterId src, RouterId dst) const {
     assert(warmed(src));
@@ -155,25 +156,17 @@ class RoutingTable {
   /// the predecessor links on each call; use path() for hot lookups.
   [[nodiscard]] std::vector<RouterId> router_path(RouterId src, RouterId dst);
 
-  /// Batch-computes every source row, spread over the process pool
-  /// (`threads` caps concurrency, 0 = hardware). Deterministic: rows are
-  /// independent pure functions of the topology and writes are indexed by
-  /// source, so the warmed table is identical to one filled serially.
-  void warm_all(std::size_t threads = 0);
-  /// Same, dispatching on an explicit pool (runs inline when the pool has
-  /// one thread or the caller is already a pool worker).
-  void warm_all(ThreadPool& pool);
-
-  /// Hierarchical warm-up (underlay/hierarchy.hpp, DESIGN.md
-  /// "Hierarchical routing"): contracts pendants and stub groups onto
-  /// the transit core and expands them back by exact aggregate folding.
-  /// Byte-identical rows to warm_all — same floats, same tie-breaks —
-  /// gated by the reference-Dijkstra property suite; on topologies with
-  /// nothing to contract it degenerates to the flat warm. Same
-  /// determinism/threading contract as warm_all.
+  /// Batch-computes every source row through the hierarchical path
+  /// (underlay/hierarchy.hpp, DESIGN.md "Hierarchical routing"): contracts
+  /// pendants and stub groups onto the transit core and expands them back
+  /// by exact aggregate folding, spread over the process pool (`threads`
+  /// caps concurrency, 0 = hardware). Byte-identical rows to the
+  /// per-source Dijkstra (path()) — same floats, same tie-breaks — gated
+  /// by the reference-Dijkstra property suite; on topologies with nothing
+  /// to contract it degenerates to that Dijkstra. Deterministic: rows are
+  /// pure functions of the topology and writes are indexed by source, so
+  /// the warmed table is identical for any thread count.
   void warm_all_hierarchical(std::size_t threads = 0);
-  /// Same, dispatching on an explicit pool.
-  void warm_all_hierarchical(ThreadPool& pool);
 
   /// Builds (once) and returns the contraction plan. Not thread-safe
   /// against itself; the warm entry points call it before fanning out.
@@ -290,7 +283,7 @@ class RoutingTable {
   }
 
   /// Dijkstra + aggregate pass for one source. Writes only rows_[src] and
-  /// thread_local scratch, so warm_all may run it concurrently for
+  /// thread_local scratch, so callers may run it concurrently for
   /// distinct sources (the topology CSR must be built first).
   void compute_row(std::uint32_t src);
 

@@ -224,8 +224,9 @@ bool write(const AsTopology& topology, const RoutingTable& table,
        pairs.size() * sizeof(std::uint64_t)},
   };
   // v2 optional sections: only emitted when the table was warmed through
-  // the hierarchical path. A flat-warmed table writes a file whose section
-  // set matches v1 exactly (apart from the header version).
+  // the hierarchical path. A table filled by lazy per-source queries
+  // writes a file whose section set matches v1 exactly (apart from the
+  // header version).
   const std::shared_ptr<const AltLandmarks> landmarks = table.landmarks();
   if (landmarks != nullptr && landmarks->count() > 0) {
     specs.push_back({SectionId::kLandmarkIds, landmarks->ids().data(),

@@ -4,7 +4,7 @@
 // warming hierarchically at once, each with its own row arena; the
 // process-global arena recycler is hit concurrently by their
 // constructors and destructors. Every warm must still be byte-identical
-// to a serial flat warm_all.
+// to the lazy per-source Dijkstra (path()).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "lazy_warm.hpp"
 #include "underlay/hierarchy.hpp"
 #include "underlay/routing.hpp"
 #include "underlay/topology.hpp"
@@ -28,7 +29,7 @@ void expect_rows_match(const AsTopology& topo, const RoutingTable& got,
     const auto b = want.row(id);
     ASSERT_EQ(a.size(), b.size());
     ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0)
-        << "source row " << src << " differs from the flat warm";
+        << "source row " << src << " differs from the per-source Dijkstra";
   }
 }
 
@@ -40,7 +41,7 @@ TEST(HierarchyParallel, ConcurrentTablesShareOnePlan) {
   (void)topo.hierarchy_plan();
 
   RoutingTable reference(topo);
-  reference.warm_all(/*threads=*/1);
+  warm_lazily(topo, reference);
 
   constexpr std::size_t kThreads = 4;
   std::vector<std::thread> threads;
@@ -61,7 +62,7 @@ TEST(HierarchyParallel, ConcurrentTablesShareOnePlan) {
 TEST(HierarchyParallel, InternallyThreadedWarmMatchesFlat) {
   const AsTopology topo = AsTopology::transit_stub(3, 10, 0.3);
   RoutingTable reference(topo);
-  reference.warm_all(/*threads=*/1);
+  warm_lazily(topo, reference);
 
   // The per-source fold itself runs on a pool: every worker streams the
   // shared plan's baked trees into its own rows concurrently.
@@ -77,7 +78,7 @@ TEST(HierarchyParallel, SequentialRebuildsRecycleTheArena) {
   // recycled arena is dirty memory, every entry must be overwritten.
   const AsTopology topo = AsTopology::transit_stub(3, 8, 0.3);
   RoutingTable reference(topo);
-  reference.warm_all(/*threads=*/1);
+  warm_lazily(topo, reference);
   for (int round = 0; round < 3; ++round) {
     RoutingTable table(topo);
     table.warm_all_hierarchical(/*threads=*/2);

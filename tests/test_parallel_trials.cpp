@@ -192,34 +192,6 @@ TEST(SharedRouting, ConcurrentReadersSeeIdenticalAnswers) {
     EXPECT_EQ(hops[k], serial_rows[k]);
 }
 
-TEST(SharedRouting, WarmAllOnPoolMatchesSerialWarm) {
-  // warm_all(ThreadPool&) must produce the identical table to a serial
-  // warm: rows are pure functions of the topology, indexed by source.
-  const underlay::AsTopology topo =
-      underlay::AsTopology::transit_stub(2, 3, 0.5);
-  underlay::RoutingTable serial(topo);
-  serial.warm_all(1);
-  underlay::RoutingTable pooled(topo);
-  {
-    ThreadPool pool(4);
-    pooled.warm_all(pool);
-  }
-  EXPECT_EQ(pooled.cached_sources(), topo.router_count());
-  const auto n = static_cast<std::uint32_t>(topo.router_count());
-  const auto& serial_const = serial;
-  const auto& pooled_const = pooled;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t j = 0; j < n; ++j) {
-      const underlay::PathInfo a = serial_const.path(RouterId(i), RouterId(j));
-      const underlay::PathInfo b = pooled_const.path(RouterId(i), RouterId(j));
-      EXPECT_EQ(a.latency_ms, b.latency_ms);
-      EXPECT_EQ(a.bottleneck_mbps, b.bottleneck_mbps);
-      EXPECT_EQ(a.router_hops, b.router_hops);
-      EXPECT_EQ(a.as_crossings, b.as_crossings);
-    }
-  }
-}
-
 TEST(RunTrials, SharedRoutingTrialsAreByteIdenticalSerialVsParallel) {
   // The bench-adoption gate in unit form: trials that borrow one group-wide
   // SharedRouting snapshot (as bench_table1 / bench_collection_compare now

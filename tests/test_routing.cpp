@@ -186,7 +186,7 @@ TEST(Routing, WarmAllMatchesLazyQueries) {
   const AsTopology topo = AsTopology::transit_stub(2, 4, 0.4);
   RoutingTable lazy(topo);
   RoutingTable warmed(topo);
-  warmed.warm_all();
+  warmed.warm_all_hierarchical();
   EXPECT_EQ(warmed.cached_sources(), topo.router_count());
   const auto& warmed_const = warmed;
   const auto n = static_cast<std::uint32_t>(topo.router_count());

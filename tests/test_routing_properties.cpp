@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "lazy_warm.hpp"
 #include "underlay/calendar_queue.hpp"
 #include "underlay/hierarchy.hpp"
 #include "underlay/routing.hpp"
@@ -217,15 +218,15 @@ struct ReferenceDijkstra {
   const AsTopology& topo_;
 };
 
-/// Every pair, both the lazy and the warmed CSR table, against the
-/// adjacency-list reference. Latency / reachability / bottleneck must be
+/// Every pair, both the lazy table and the batch warm
+/// (warm_all_hierarchical), against the adjacency-list reference. Latency / reachability / bottleneck must be
 /// bit-identical (same additions in the same order); hop and crossing
 /// counts and the interned AS sequence must agree exactly.
 void expect_matches_reference(const AsTopology& topo) {
   const ReferenceDijkstra reference(topo);
   RoutingTable lazy(topo);
   RoutingTable warmed(topo);
-  warmed.warm_all();
+  warmed.warm_all_hierarchical();
   const auto n = static_cast<std::uint32_t>(topo.router_count());
   for (std::uint32_t i = 0; i < n; ++i) {
     for (std::uint32_t j = 0; j < n; ++j) {
@@ -344,12 +345,12 @@ TEST(RoutingFlatCache, InternedSpansSurviveStoreGrowth) {
 namespace {
 
 /// warm_all_hierarchical's whole contract: every DestEntry row must be
-/// byte-for-byte what warm_all computes — same IEEE-754 sums, same
-/// canonical tie-breaks — so snapshots, the bench cache, and the oracle
-/// tier can treat the warm paths as interchangeable.
+/// byte-for-byte what the per-source Dijkstra (path()) computes — same
+/// IEEE-754 sums, same canonical tie-breaks — so snapshots, the bench
+/// cache, and the oracle tier can mix batch-warmed and lazy rows.
 void expect_hier_rows_identical(const AsTopology& topo) {
   RoutingTable flat(topo);
-  flat.warm_all();
+  warm_lazily(topo, flat);
   RoutingTable hier(topo);
   hier.warm_all_hierarchical();
   const auto n = static_cast<std::uint32_t>(topo.router_count());
@@ -582,7 +583,7 @@ TEST(RoutingHierarchical, ArenaPoolSizeMismatchAndTrim) {
 TEST(RoutingAlt, LowerBoundNeverExceedsTrueDistance) {
   const AsTopology topo = AsTopology::transit_stub(3, 8, 0.3);
   RoutingTable table(topo);
-  table.warm_all();
+  warm_lazily(topo, table);
   const auto landmarks = AltLandmarks::build(topo);
   const auto n = static_cast<std::uint32_t>(topo.router_count());
   Rng rng(42);
@@ -603,7 +604,7 @@ TEST(RoutingAlt, LowerBoundNeverExceedsTrueDistance) {
 TEST_P(RoutingVsReferenceP, PointPathBytesMatchWarmedPath) {
   const AsTopology topo = make_topology();
   RoutingTable warmed(topo);
-  warmed.warm_all();
+  warm_lazily(topo, warmed);
   RoutingTable lazy(topo);  // point_path must not warm any row
   const auto n = static_cast<std::uint32_t>(topo.router_count());
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -623,7 +624,7 @@ TEST(RoutingAlt, PointPathOnRandomTransitStubs) {
     const AsTopology topo =
         AsTopology::transit_stub(3, 5 + trial, 0.3, config);
     RoutingTable warmed(topo);
-    warmed.warm_all();
+    warm_lazily(topo, warmed);
     RoutingTable lazy(topo);
     const auto n = static_cast<std::uint32_t>(topo.router_count());
     Rng rng(trial);

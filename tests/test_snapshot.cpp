@@ -1,8 +1,8 @@
 // Persistent warmed-routing snapshots (underlay/snapshot.hpp): round-trip
-// byte-identity against a fresh warm-all, deterministic serialization
-// regardless of as-path query order, and rejection of corrupted /
-// truncated / version-skewed / wrong-topology files with a working
-// fresh-build fallback after every rejection.
+// byte-identity against the table the file was written from,
+// deterministic serialization regardless of as-path query order, and
+// rejection of corrupted / truncated / version-skewed / wrong-topology
+// files with a working fresh-build fallback after every rejection.
 #include "underlay/snapshot.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "lazy_warm.hpp"
 #include "underlay/hierarchy.hpp"
 #include "underlay/routing.hpp"
 #include "underlay/topology.hpp"
@@ -48,7 +49,7 @@ void write_file(const std::string& path, const std::vector<char>& bytes) {
 /// was serialized from (for byte comparisons).
 RoutingTable write_snapshot(const AsTopology& topo, const std::string& path) {
   RoutingTable table(topo);
-  table.warm_all();
+  warm_lazily(topo, table);
   std::string error;
   EXPECT_TRUE(snapshot::write(topo, table, path, &error)) << error;
   return table;
@@ -113,13 +114,13 @@ TEST(Snapshot, SerializationIndependentOfAsPathQueryOrder) {
   const auto n = static_cast<std::uint32_t>(topo.router_count());
 
   RoutingTable forward(topo);
-  forward.warm_all();
+  warm_lazily(topo, forward);
   for (std::uint32_t s = 0; s < n; ++s)
     for (std::uint32_t d = 0; d < n; ++d)
       (void)forward.as_path(RouterId(s), RouterId(d));
 
   RoutingTable backward(topo);
-  backward.warm_all();
+  warm_lazily(topo, backward);
   for (std::uint32_t s = n; s-- > 0;)
     for (std::uint32_t d = n; d-- > 0;)
       (void)backward.as_path(RouterId(s), RouterId(d));
@@ -138,7 +139,7 @@ TEST(Snapshot, LoadedTableAnswersAsPathsIdentically) {
   const std::string path = temp_path("aspaths");
 
   RoutingTable fresh(topo);
-  fresh.warm_all();
+  warm_lazily(topo, fresh);
   for (std::uint32_t s = 0; s < n; ++s)
     for (std::uint32_t d = 0; d < n; ++d)
       (void)fresh.as_path(RouterId(s), RouterId(d));
@@ -252,7 +253,7 @@ TEST(Snapshot, AttachRejectsWrongTopology) {
   EXPECT_FALSE(error.empty());
 
   // The rejected table is still usable as a fresh fallback.
-  table.warm_all();
+  table.warm_all_hierarchical();
   EXPECT_EQ(table.cached_sources(), other.router_count());
 }
 

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "lazy_warm.hpp"
 #include "underlay/routing.hpp"
 #include "underlay/snapshot.hpp"
 #include "underlay/topology.hpp"
@@ -20,7 +21,7 @@ namespace {
 std::string write_snapshot(const AsTopology& topo, const std::string& name) {
   const std::string path = testing::TempDir() + "uap2p_" + name + ".uap2psnap";
   RoutingTable table(topo);
-  table.warm_all();
+  warm_lazily(topo, table);
   std::string error;
   EXPECT_TRUE(snapshot::write(topo, table, path, &error)) << error;
   return path;

@@ -5,46 +5,11 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace uap2p {
 namespace {
-
-TEST(ThreadPool, SubmitReturnsResults) {
-  ThreadPool pool(2);
-  auto f1 = pool.submit([] { return 6 * 7; });
-  auto f2 = pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
-}
-
-TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
-  ThreadPool pool(1);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ManyTasksAllRun) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPool, DrainsQueueOnDestruction) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&counter] { ++counter; });
-    }
-  }  // destructor joins after draining
-  EXPECT_EQ(counter.load(), 50);
-}
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(500);
@@ -73,6 +38,32 @@ TEST(ParallelFor, RethrowsFirstException) {
           },
           4),
       std::logic_error);
+}
+
+TEST(ParallelFor, NestedCallRunsInlineOnWorker) {
+  // A parallel_for issued from inside another one must run inline on the
+  // thread that issued it (a pool worker or the outer caller), never
+  // block a worker on lanes queued behind it, and still cover every inner
+  // index exactly once.
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 16;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> off_thread{0};
+  parallel_for(
+      kOuter,
+      [&](std::size_t i) {
+        const std::thread::id caller = std::this_thread::get_id();
+        parallel_for(
+            kInner,
+            [&](std::size_t j) {
+              if (std::this_thread::get_id() != caller) ++off_thread;
+              ++hits[i * kInner + j];
+            },
+            4);
+      },
+      4);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(off_thread.load(), 0);
 }
 
 TEST(ParallelFor, SumReduction) {

@@ -22,15 +22,24 @@
 // cadence, which republishes an identically-built snapshot mid-serve to
 // exercise the swap path. The oracled-smoke CTest gate byte-diffs both
 // against a committed golden.
+//
+// A numeric flag that does not parse completely exits with status 2.
+// `serve` refuses a request file with a malformed line — a field with no
+// digits, a value above UINT32_MAX, text after the last candidate, or a
+// line longer than the 64 KiB read buffer — and names the line.
+#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
+#include "common/flag_number.hpp"
 #include "oracle/service.hpp"
 #include "underlay/routing.hpp"
 #include "underlay/topology.hpp"
@@ -77,24 +86,24 @@ bool parse(int argc, char** argv, Args& args) {
     else if (const char* v = value("--requests=")) {
       // gen-requests counts; serve takes a file path.
       if (args.command == "serve") args.requests_file = v;
-      else args.requests = std::strtoull(v, nullptr, 10);
+      else args.requests = parse_flag_number<std::size_t>("--requests", v);
     }
-    else if (const char* v = value("--candidates=")) args.candidates = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--peers=")) args.peers = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--seed=")) args.seed = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--workers=")) args.workers = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--ring=")) args.ring = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--batch=")) args.batch = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--swap-every=")) args.swap_every = std::strtoull(v, nullptr, 10);
+    else if (const char* v = value("--candidates=")) args.candidates = parse_flag_number<std::size_t>("--candidates", v);
+    else if (const char* v = value("--peers=")) args.peers = parse_flag_number<std::size_t>("--peers", v);
+    else if (const char* v = value("--seed=")) args.seed = parse_flag_number<std::uint64_t>("--seed", v);
+    else if (const char* v = value("--workers=")) args.workers = parse_flag_number<std::size_t>("--workers", v);
+    else if (const char* v = value("--ring=")) args.ring = parse_flag_number<std::size_t>("--ring", v);
+    else if (const char* v = value("--batch=")) args.batch = parse_flag_number<std::size_t>("--batch", v);
+    else if (const char* v = value("--swap-every=")) args.swap_every = parse_flag_number<std::size_t>("--swap-every", v);
     else if (const char* v = value("--generator=")) args.generator = v;
-    else if (const char* v = value("--topo-seed=")) args.topo_seed = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--routers-per-as=")) args.routers_per_as = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--transit=")) args.transit = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--stubs=")) args.stubs = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--peering=")) args.peering = std::strtod(v, nullptr);
-    else if (const char* v = value("--ases=")) args.ases = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--edge-prob=")) args.edge_prob = std::strtod(v, nullptr);
-    else if (const char* v = value("--branching=")) args.branching = std::strtoull(v, nullptr, 10);
+    else if (const char* v = value("--topo-seed=")) args.topo_seed = parse_flag_number<std::uint64_t>("--topo-seed", v);
+    else if (const char* v = value("--routers-per-as=")) args.routers_per_as = parse_flag_number<std::size_t>("--routers-per-as", v);
+    else if (const char* v = value("--transit=")) args.transit = parse_flag_number<std::size_t>("--transit", v);
+    else if (const char* v = value("--stubs=")) args.stubs = parse_flag_number<std::size_t>("--stubs", v);
+    else if (const char* v = value("--peering=")) args.peering = parse_flag_number<double>("--peering", v);
+    else if (const char* v = value("--ases=")) args.ases = parse_flag_number<std::size_t>("--ases", v);
+    else if (const char* v = value("--edge-prob=")) args.edge_prob = parse_flag_number<double>("--edge-prob", v);
+    else if (const char* v = value("--branching=")) args.branching = parse_flag_number<std::size_t>("--branching", v);
     else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       return false;
@@ -170,6 +179,41 @@ struct ParsedRequests {
   std::vector<std::uint32_t> ranked;  ///< Output arena.
 };
 
+/// One unsigned decimal field of a request line at `cursor` (leading
+/// blanks skipped), advancing past it. Null on success, else why not.
+const char* read_u32(const char*& cursor, const char* end,
+                     std::uint32_t& out) {
+  while (cursor < end && (*cursor == ' ' || *cursor == '\t')) ++cursor;
+  const auto [stop, ec] = std::from_chars(cursor, end, out);
+  if (ec == std::errc::result_out_of_range) return "value above UINT32_MAX";
+  if (ec != std::errc()) return "field has no digits";
+  cursor = stop;
+  return nullptr;
+}
+
+/// Parses one "client count peer:router..." line, appending its
+/// candidates to the arena. Null on success, else why it is malformed.
+const char* parse_request_line(const char* cursor, const char* end,
+                               std::uint32_t& client, std::uint32_t& count,
+                               std::vector<Candidate>& candidates) {
+  if (const char* why = read_u32(cursor, end, client)) return why;
+  if (const char* why = read_u32(cursor, end, count)) return why;
+  for (std::uint32_t c = 0; c < count; ++c) {
+    Candidate candidate{};
+    if (const char* why = read_u32(cursor, end, candidate.peer)) return why;
+    if (cursor == end || *cursor != ':') return "candidate without ':'";
+    ++cursor;
+    if (const char* why = read_u32(cursor, end, candidate.router)) return why;
+    candidates.push_back(candidate);
+  }
+  for (; cursor < end; ++cursor) {
+    if (std::isspace(static_cast<unsigned char>(*cursor)) == 0) {
+      return "trailing text after the last candidate";
+    }
+  }
+  return nullptr;
+}
+
 bool load_requests(const std::string& path, ParsedRequests& parsed) {
   std::FILE* in = std::fopen(path.c_str(), "rb");
   if (in == nullptr) {
@@ -183,23 +227,25 @@ bool load_requests(const std::string& path, ParsedRequests& parsed) {
   };
   std::vector<Raw> raw;
   char line[1 << 16];
+  std::size_t line_number = 0;
   while (std::fgets(line, sizeof line, in) != nullptr) {
-    if (line[0] == '#' || line[0] == '\n' || line[0] == '\0') continue;
-    char* cursor = line;
-    const unsigned long long client = std::strtoull(cursor, &cursor, 10);
-    const unsigned long long count = std::strtoull(cursor, &cursor, 10);
-    Raw r{std::uint32_t(client), parsed.candidates.size(), std::uint32_t(count)};
-    for (unsigned long long c = 0; c < count; ++c) {
-      const unsigned long long peer = std::strtoull(cursor, &cursor, 10);
-      if (*cursor != ':') {
-        std::fprintf(stderr, "malformed request line: %s", line);
-        std::fclose(in);
-        return false;
-      }
-      ++cursor;
-      const unsigned long long router = std::strtoull(cursor, &cursor, 10);
-      parsed.candidates.push_back(
-          Candidate{std::uint32_t(peer), std::uint32_t(router)});
+    ++line_number;
+    const std::size_t length = std::strlen(line);
+    const char* why = nullptr;
+    Raw r{0, parsed.candidates.size(), 0};
+    if (length == sizeof line - 1 && line[length - 1] != '\n') {
+      why = "longer than the 64 KiB line buffer";
+    } else if (line[0] == '#' || line[0] == '\n' || line[0] == '\0') {
+      continue;
+    } else {
+      why = parse_request_line(line, line + length, r.client, r.count,
+                               parsed.candidates);
+    }
+    if (why != nullptr) {
+      std::fprintf(stderr, "%s: malformed request line %zu: %s\n",
+                   path.c_str(), line_number, why);
+      std::fclose(in);
+      return false;
     }
     raw.push_back(r);
   }

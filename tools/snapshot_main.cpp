@@ -12,13 +12,15 @@
 //   --ases=N [60] --edge-prob=P [0.1]                 (mesh/ring/star/tree)
 //   --branching=N [2]                                 (tree)
 //
-// `write` generates the topology, batch-warms all-pairs routing (via the
-// hierarchical path, landmarks included), and serializes it. `info` dumps
-// the header, section table, and recomputed
-// checksums. `verify` regenerates the topology from the flags, recomputes
-// the full warm-up from scratch, and byte-compares every per-source row
-// against the snapshot — the strong form of the round-trip guarantee the
-// snapshot-roundtrip CTest gate relies on.
+// `write` generates the topology, batch-warms all-pairs routing through
+// warm_all_hierarchical (landmarks included), and serializes it. `info`
+// dumps the header, section table, and recomputed checksums. `verify`
+// regenerates the topology from the flags, recomputes every row through a
+// fresh table's lazy per-source Dijkstra — independent of the
+// hierarchical path that wrote the file — and byte-compares each against
+// the snapshot: the strong form of the round-trip guarantee the
+// snapshot-roundtrip CTest gate relies on. A numeric flag that does not
+// parse completely exits with status 2.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +28,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/flag_number.hpp"
 #include "underlay/routing.hpp"
 #include "underlay/snapshot.hpp"
 #include "underlay/topology.hpp"
@@ -60,14 +63,14 @@ bool parse(int argc, char** argv, Args& args) {
     if (const char* v = value("--out=")) args.file = v;
     else if (const char* v = value("--file=")) args.file = v;
     else if (const char* v = value("--generator=")) args.generator = v;
-    else if (const char* v = value("--seed=")) args.seed = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--routers-per-as=")) args.routers_per_as = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--transit=")) args.transit = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--stubs=")) args.stubs = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--peering=")) args.peering = std::strtod(v, nullptr);
-    else if (const char* v = value("--ases=")) args.ases = std::strtoull(v, nullptr, 10);
-    else if (const char* v = value("--edge-prob=")) args.edge_prob = std::strtod(v, nullptr);
-    else if (const char* v = value("--branching=")) args.branching = std::strtoull(v, nullptr, 10);
+    else if (const char* v = value("--seed=")) args.seed = parse_flag_number<std::uint64_t>("--seed", v);
+    else if (const char* v = value("--routers-per-as=")) args.routers_per_as = parse_flag_number<std::size_t>("--routers-per-as", v);
+    else if (const char* v = value("--transit=")) args.transit = parse_flag_number<std::size_t>("--transit", v);
+    else if (const char* v = value("--stubs=")) args.stubs = parse_flag_number<std::size_t>("--stubs", v);
+    else if (const char* v = value("--peering=")) args.peering = parse_flag_number<double>("--peering", v);
+    else if (const char* v = value("--ases=")) args.ases = parse_flag_number<std::size_t>("--ases", v);
+    else if (const char* v = value("--edge-prob=")) args.edge_prob = parse_flag_number<double>("--edge-prob", v);
+    else if (const char* v = value("--branching=")) args.branching = parse_flag_number<std::size_t>("--branching", v);
     else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       return false;
@@ -100,10 +103,10 @@ AsTopology make_topology(const Args& args) {
 int cmd_write(const Args& args) {
   const AsTopology topo = make_topology(args);
   RoutingTable table(topo);
-  // Hierarchical warm (byte-identical to warm_all; `verify` recomputes
-  // the flat warm and diffs, so the claim is checked end to end) plus the
-  // ALT landmark tables, so the file carries the v2 sections and a load
-  // skips the landmark Dijkstras too.
+  // Hierarchical warm (byte-identical to the per-source Dijkstra, which
+  // `verify` recomputes and diffs, so the claim is checked end to end)
+  // plus the ALT landmark tables, so the file carries the v2 sections and
+  // a load skips the landmark Dijkstras too.
   table.warm_all_hierarchical();
   table.ensure_landmarks();
   std::string error;
@@ -162,13 +165,15 @@ int cmd_verify(const Args& args) {
     std::fprintf(stderr, "verify failed: %s\n", error.c_str());
     return 1;
   }
-  // Recompute every row from scratch and byte-compare against the mapped
-  // image: the recompute-and-diff form of the round-trip guarantee.
+  // Recompute every row from scratch through the lazy per-source Dijkstra
+  // (serial; a path() query fills its source's row) and byte-compare
+  // against the mapped image: the recompute-and-diff form of the
+  // round-trip guarantee.
   RoutingTable recomputed(topo);
-  recomputed.warm_all();
   const std::size_t n = topo.router_count();
   for (std::size_t src = 0; src < n; ++src) {
     const auto id = RouterId(static_cast<std::uint32_t>(src));
+    (void)recomputed.path(id, id);
     const auto stored = fresh.row(id);
     const auto live = recomputed.row(id);
     if (std::memcmp(stored.data(), live.data(), stored.size_bytes()) != 0) {
