@@ -69,13 +69,28 @@ inline Options& options() {
   return instance;
 }
 
+inline constexpr const char* kFlagHelp =
+    "  --serial               run every trial on the calling thread\n"
+    "  --metrics=<path>       write the merged per-trial metrics JSON\n"
+    "  --trace=<path>         write a JSONL trace of the first trial\n"
+    "  --seed-offset=<n>      add n to every trial base seed\n"
+    "  --snapshot-dir=<dir>   cache warmed-routing snapshots in dir\n"
+    "                         (default: $UAP2P_SNAPSHOT_DIR, else none)\n"
+    "  --metrics-every=<ms>   periodic metrics snapshots every ms sim time\n"
+    "  --dash=<dir>           output directory of the periodic snapshots\n"
+    "  --help                 print this list and exit\n";
+
 /// Parses the shared bench flags (--serial, --metrics=, --trace=, ...);
-/// call first thing in main. Unrecognized arguments are left alone; a
-/// numeric flag whose value does not parse completely exits with status 2.
+/// call first thing in main. --help prints the flag list and exits 0. An
+/// unknown flag, or a numeric flag whose value does not parse completely,
+/// exits with status 2 before any work runs.
 inline void parse_flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
-    if (arg == "--serial") {
+    if (arg == "--help") {
+      std::printf("usage: %s [flags]\n%s", argv[0], kFlagHelp);
+      std::exit(0);
+    } else if (arg == "--serial") {
       options().serial = true;
     } else if (arg.rfind("--metrics=", 0) == 0) {
       options().metrics_path = std::string(arg.substr(10));
@@ -92,6 +107,9 @@ inline void parse_flags(int argc, char** argv) {
           parse_flag_number<double>("--metrics-every", arg.substr(16));
     } else if (arg.rfind("--dash=", 0) == 0) {
       options().dash_dir = std::string(arg.substr(7));
+    } else {
+      std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
+      std::exit(2);
     }
   }
   if (options().metrics_every_ms > 0.0 && !options().dash_dir.empty()) {

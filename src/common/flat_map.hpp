@@ -13,11 +13,13 @@
 //  * FlatSet<K>      — same, without values.
 //  * ChunkedStore<T> — append-only store with stable element addresses.
 //  * SlotPool<T>     — index-addressed free-list pool with stable slots.
+//  * DenseIndex<Id>  — strong id -> position array over a fixed member list.
 //
 // None of them are thread-safe; like the engine and the routing table,
 // one instance belongs to one simulation.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -306,6 +308,40 @@ class SlotPool {
   std::vector<std::uint32_t> next_free_;
   std::size_t slot_count_ = 0;
   std::uint32_t free_head_ = kInvalidIndex;
+};
+
+/// Position of each member in a fixed member list, indexed directly by the
+/// id's value: one array load per lookup where a hash map would hash and
+/// probe. Sized by the largest member value, so it suits dense small ids
+/// (PeerIds are handed out consecutively by Network::populate). Looking up
+/// a non-member is a caller bug and asserts.
+template <typename Id>
+class DenseIndex {
+ public:
+  explicit DenseIndex(const std::vector<Id>& members) {
+    std::size_t bound = 0;
+    for (const Id id : members) {
+      bound = std::max<std::size_t>(bound, std::size_t{id.value()} + 1);
+    }
+    position_.assign(bound, kNone);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      assert(position_[members[i].value()] == kNone && "duplicate member");
+      position_[members[i].value()] = static_cast<std::uint32_t>(i);
+    }
+  }
+
+  /// One past the largest member's value.
+  [[nodiscard]] std::size_t id_bound() const { return position_.size(); }
+
+  [[nodiscard]] std::uint32_t operator[](Id id) const {
+    assert(id.value() < position_.size() && position_[id.value()] != kNone &&
+           "not a member");
+    return position_[id.value()];
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+  std::vector<std::uint32_t> position_;
 };
 
 }  // namespace uap2p

@@ -46,17 +46,19 @@ GnutellaSystem::GnutellaSystem(underlay::Network& network,
     : network_(network),
       config_(config),
       oracle_(oracle),
-      rng_(config.seed) {
+      rng_(config.seed),
+      index_of_(peers) {
   assert(peers.size() == roles.size());
   assert(config_.selection == NeighborSelection::kRandom || oracle_ != nullptr);
   bind_metrics(own_metrics_);
+  const std::size_t bit_words = (index_of_.id_bound() + 63) / 64;
   nodes_.reserve(peers.size());
   for (std::size_t i = 0; i < peers.size(); ++i) {
     Node node;
     node.peer = peers[i];
     node.role = roles[i];
     node.cache_rng = Rng(config_.seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
-    index_of_[peers[i].value()] = nodes_.size();
+    node.hostcache_bits.assign(bit_words, 0);
     nodes_.push_back(std::move(node));
     network_.add_handler(peers[i], [this, peer = peers[i]](
                                        const underlay::Message& msg) {
@@ -66,15 +68,16 @@ GnutellaSystem::GnutellaSystem(underlay::Network& network,
 }
 
 void GnutellaSystem::add_to_hostcache(Node& node, PeerId peer) {
-  if (peer == node.peer) return;
-  if (std::find(node.hostcache.begin(), node.hostcache.end(), peer) !=
-      node.hostcache.end()) {
-    return;
-  }
+  if (peer == node.peer || node.in_hostcache(peer)) return;
   if (node.hostcache.size() < config_.hostcache_size) {
     node.hostcache.push_back(peer);
+    node.set_in_hostcache(peer, true);
   } else if (!node.hostcache.empty()) {
-    node.hostcache[node.cache_rng.uniform(node.hostcache.size())] = peer;
+    PeerId& victim =
+        node.hostcache[node.cache_rng.uniform(node.hostcache.size())];
+    node.set_in_hostcache(victim, false);
+    victim = peer;
+    node.set_in_hostcache(peer, true);
   }
 }
 
@@ -171,10 +174,12 @@ void GnutellaSystem::bootstrap() {
     const auto sample =
         rng_.sample_without_replacement(nodes_.size(), cache + 1);
     node.hostcache.clear();
+    std::fill(node.hostcache_bits.begin(), node.hostcache_bits.end(), 0);
     for (const std::size_t index : sample) {
       if (nodes_[index].peer == node.peer) continue;
       if (node.hostcache.size() >= cache) break;
       node.hostcache.push_back(nodes_[index].peer);
+      node.set_in_hostcache(nodes_[index].peer, true);
     }
   }
   // Ultrapeers mesh first (random join order), then leaves attach.
@@ -277,19 +282,20 @@ void GnutellaSystem::on_message(PeerId self, const underlay::Message& msg) {
 void GnutellaSystem::cache_pong(Node& me, PeerId about) {
   if (about == me.peer) return;
   const sim::SimTime now = network_.engine().now();
-  for (auto& [peer, seen] : me.pong_cache) {
-    if (peer == about) {
-      seen = now;
-      return;
-    }
+  const auto hit = std::find(me.pong_ids.begin(), me.pong_ids.end(), about);
+  if (hit != me.pong_ids.end()) {
+    me.pong_seen[hit - me.pong_ids.begin()] = now;
+    return;
   }
-  me.pong_cache.emplace_back(about, now);
-  if (me.pong_cache.size() > config_.pong_cache_capacity) {
-    // Drop the stalest entry.
-    auto oldest = std::min_element(
-        me.pong_cache.begin(), me.pong_cache.end(),
-        [](const auto& a, const auto& b) { return a.second < b.second; });
-    me.pong_cache.erase(oldest);
+  me.pong_ids.push_back(about);
+  me.pong_seen.push_back(now);
+  if (me.pong_ids.size() > config_.pong_cache_capacity) {
+    // Drop the stalest entry (the first one on ties).
+    const auto oldest =
+        std::min_element(me.pong_seen.begin(), me.pong_seen.end()) -
+        me.pong_seen.begin();
+    me.pong_ids.erase(me.pong_ids.begin() + oldest);
+    me.pong_seen.erase(me.pong_seen.begin() + oldest);
   }
 }
 
@@ -306,12 +312,12 @@ void GnutellaSystem::handle_ping(PeerId self, PeerId from,
   // forwarding when the cache alone satisfies the ping.
   const sim::SimTime now = network_.engine().now();
   std::size_t served = 0;
-  for (const auto& [peer, seen] : me.pong_cache) {
+  for (std::size_t i = 0; i < me.pong_ids.size(); ++i) {
     if (served + 1 >= config_.pongs_per_ping) break;
-    if (now - seen > config_.pong_cache_ttl_ms) continue;
-    if (peer == from) continue;
+    if (now - me.pong_seen[i] > config_.pong_cache_ttl_ms) continue;
+    if (me.pong_ids[i] == from) continue;
     send_typed(self, from, msg::kGnutellaPong, config_.pong_bytes,
-               PongPayload{ping.guid, peer});
+               PongPayload{ping.guid, me.pong_ids[i]});
     ++served;
   }
   const bool satisfied = served + 1 >= config_.pongs_per_ping;

@@ -25,7 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -176,6 +176,11 @@ class GnutellaSystem {
   [[nodiscard]] const underlay::Network& network() const { return network_; }
   [[nodiscard]] std::vector<PeerId> neighbors_of(PeerId peer) const;
   [[nodiscard]] NodeRole role_of(PeerId peer) const;
+  /// `peer`'s hostcache in insertion order (slots replaced in place on
+  /// eviction). Valid until the next message delivery or bootstrap().
+  [[nodiscard]] std::span<const PeerId> hostcache_of(PeerId peer) const {
+    return node(peer).hostcache;
+  }
   /// All peers currently sharing `content`.
   [[nodiscard]] std::vector<PeerId> providers_of(ContentId content) const;
 
@@ -196,6 +201,10 @@ class GnutellaSystem {
     std::vector<PeerId> leaves;         // attached leaves (UPs only)
     std::vector<PeerId> ultrapeers;     // attachments (leaves only)
     std::vector<PeerId> hostcache;
+    // Hostcache membership, one bit per PeerId value (N/8 bytes per node):
+    // the Pong path's duplicate check is one load, not a hostcache scan.
+    // Every write to `hostcache` sets or clears the matching bits with it.
+    std::vector<std::uint64_t> hostcache_bits;
     // Merged flood dedup + reverse-path state: guid -> previous hop, with
     // PeerId::invalid() marking "this node originated the flood". One flat
     // probe answers both "seen before?" and "route back where?"; reset per
@@ -203,12 +212,24 @@ class GnutellaSystem {
     // steady-state flood never touches the allocator.
     FlatMap<std::uint64_t, PeerId> flood_state;
     FlatSet<std::uint32_t> shared;  // ContentId values
-    // Pong cache: (address, last-seen sim time), oldest first.
-    std::vector<std::pair<PeerId, sim::SimTime>> pong_cache;
+    // Pong cache as parallel arrays, oldest first: pong_seen[i] is the
+    // last-seen sim time of address pong_ids[i]. The membership scan on
+    // every Pong reads only the 4-byte ids.
+    std::vector<PeerId> pong_ids;
+    std::vector<sim::SimTime> pong_seen;
     // Hostcache eviction draws. Per-node (not the shared rng_), so the
     // eviction stream is a function of the node's own pong sequence only;
     // the Table 1 counts are pinned to these streams.
     Rng cache_rng;
+
+    [[nodiscard]] bool in_hostcache(PeerId p) const {
+      return (hostcache_bits[p.value() >> 6] >> (p.value() & 63)) & 1u;
+    }
+    void set_in_hostcache(PeerId p, bool member) {
+      const std::uint64_t bit = std::uint64_t{1} << (p.value() & 63);
+      std::uint64_t& word = hostcache_bits[p.value() >> 6];
+      word = member ? (word | bit) : (word & ~bit);
+    }
   };
 
   struct PingPayload {
@@ -233,10 +254,8 @@ class GnutellaSystem {
     std::uint32_t content;
   };
 
-  Node& node(PeerId peer) { return nodes_[index_of_.at(peer.value())]; }
-  const Node& node(PeerId peer) const {
-    return nodes_[index_of_.at(peer.value())];
-  }
+  Node& node(PeerId peer) { return nodes_[index_of_[peer]]; }
+  const Node& node(PeerId peer) const { return nodes_[index_of_[peer]]; }
 
   void connect_ultrapeer(Node& joining);
   void attach_leaf(Node& joining);
@@ -262,7 +281,7 @@ class GnutellaSystem {
   const netinfo::Oracle* oracle_;
   Rng rng_;
   std::vector<Node> nodes_;
-  std::unordered_map<std::uint32_t, std::size_t> index_of_;
+  DenseIndex<PeerId> index_of_;  // PeerId -> nodes_ position
   // Per-type counters live in a metrics registry (the internal one until
   // bind_metrics re-homes them); counts_ is the cache counts() refreshes
   // from the counters so the legacy API keeps returning a reference.

@@ -17,7 +17,11 @@ int bucket_index(NodeId self, NodeId other) {
 KademliaSystem::KademliaSystem(underlay::Network& network,
                                std::vector<PeerId> peers, Config config,
                                const netinfo::Oracle* oracle)
-    : network_(network), config_(config), oracle_(oracle), rng_(config.seed) {
+    : network_(network),
+      config_(config),
+      oracle_(oracle),
+      rng_(config.seed),
+      index_of_(peers) {
   assert(config_.policy == BucketPolicy::kVanilla || oracle_ != nullptr);
   nodes_.reserve(peers.size());
   for (const PeerId peer : peers) {
@@ -30,8 +34,6 @@ KademliaSystem::KademliaSystem(underlay::Network& network,
              std::any_of(nodes_.begin(), nodes_.end(),
                          [&](const Node& n) { return n.id == node.id; }));
     node.buckets.resize(64);
-    ids_[peer.value()] = node.id;
-    index_of_[peer.value()] = nodes_.size();
     nodes_.push_back(std::move(node));
     network_.add_handler(peer, [this, peer](const underlay::Message& msg) {
       on_message(peer, msg);
@@ -99,7 +101,7 @@ void KademliaSystem::on_message(PeerId self_peer,
     case msg::kKademliaFindNode: {
       const auto* payload = payload_cast<FindNodePayload>(&msg.payload);
       if (payload == nullptr) return;
-      const NodeId sender_id = ids_.at(msg.src.value());
+      const NodeId sender_id = node(msg.src).id;
       observe(self, Contact{sender_id, msg.src});
       FindNodeReply reply;
       reply.rpc_id = payload->rpc_id;
@@ -158,7 +160,7 @@ void KademliaSystem::on_message(PeerId self_peer,
     case msg::kKademliaStore: {
       const auto* payload = payload_cast<StorePayload>(&msg.payload);
       if (payload == nullptr) return;
-      observe(self, Contact{ids_.at(msg.src.value()), msg.src});
+      observe(self, Contact{node(msg.src).id, msg.src});
       self.storage[payload->key] = payload->value;
       break;
     }
@@ -374,7 +376,7 @@ LookupResult KademliaSystem::find_value(PeerId origin, Key key) {
 }
 
 std::vector<Contact> KademliaSystem::routing_table(PeerId peer) const {
-  const Node& self = nodes_[index_of_.at(peer.value())];
+  const Node& self = node(peer);
   std::vector<Contact> all;
   for (const Bucket& bucket : self.buckets)
     all.insert(all.end(), bucket.contacts.begin(), bucket.contacts.end());

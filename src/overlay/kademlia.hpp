@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "netinfo/oracle.hpp"
@@ -93,9 +94,7 @@ class KademliaSystem {
   /// Value lookup; stops early when any queried node returns the value.
   LookupResult find_value(PeerId origin, Key key);
 
-  [[nodiscard]] NodeId node_id(PeerId peer) const {
-    return ids_.at(peer.value());
-  }
+  [[nodiscard]] NodeId node_id(PeerId peer) const { return node(peer).id; }
   /// All contacts currently in `peer`'s buckets.
   [[nodiscard]] std::vector<Contact> routing_table(PeerId peer) const;
   /// Fraction of routing-table entries pointing into the owner's AS.
@@ -168,7 +167,8 @@ class KademliaSystem {
     std::unordered_map<std::uint64_t, sim::EventHandle> timeouts;  // rpc_id
   };
 
-  Node& node(PeerId peer) { return nodes_[index_of_.at(peer.value())]; }
+  Node& node(PeerId peer) { return nodes_[index_of_[peer]]; }
+  const Node& node(PeerId peer) const { return nodes_[index_of_[peer]]; }
   void observe(Node& self, const Contact& contact);
   [[nodiscard]] std::vector<Contact> closest_contacts(const Node& self,
                                                       NodeId target,
@@ -186,8 +186,7 @@ class KademliaSystem {
   const netinfo::Oracle* oracle_;
   Rng rng_;
   std::vector<Node> nodes_;
-  std::unordered_map<std::uint32_t, std::size_t> index_of_;
-  std::unordered_map<std::uint32_t, NodeId> ids_;
+  DenseIndex<PeerId> index_of_;  // PeerId -> nodes_ position
   std::uint64_t next_rpc_ = 1;
   std::uint64_t rpcs_ = 0;
   obs::Counter rpc_metric_;

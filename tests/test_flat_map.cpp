@@ -10,6 +10,7 @@
 
 #include "alloc_probe.hpp"
 #include "common/flat_map.hpp"
+#include "common/ids.hpp"
 #include "common/rng.hpp"
 
 namespace uap2p {
@@ -176,6 +177,18 @@ TEST(SlotPool, RecyclesReleasedSlotsWithoutAllocating) {
   }
   EXPECT_EQ(testing::allocation_count() - before, 0u);
   EXPECT_EQ(pool.slot_count(), high_water);
+}
+
+TEST(DenseIndex, MapsEachMemberToItsListPosition) {
+  // A member list out of id order, with gaps: the index answers each
+  // member's position, and is sized by the largest member value.
+  const std::vector<PeerId> members = {PeerId(7), PeerId(2), PeerId(40),
+                                       PeerId(0)};
+  const DenseIndex<PeerId> index(members);
+  EXPECT_EQ(index.id_bound(), 41u);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    EXPECT_EQ(index[members[i]], i);
+  }
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Steady-state allocation behaviour of the Gnutella flood path: once the
 // overlay, the per-node flood tables, the network's in-flight message
 // pool, and the traffic accountant's billing windows are warm, a full
-// query flood (Query out, QueryHit back, route-back delivery) must not
+// query flood (Query out, QueryHit back, route-back delivery) or ping
+// cycle (Ping out, Pongs back into hostcaches and pong caches) must not
 // touch the global allocator at all. This is the overlay-level
 // counterpart of test_engine_alloc.cpp and guards the flat-table rewrite
 // of GnutellaSystem.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "alloc_probe.hpp"
 #include "obs/metrics.hpp"
@@ -64,6 +66,53 @@ TEST(GnutellaAllocation, SteadyStateQueryFloodIsAllocationFree) {
 
   EXPECT_EQ(after - before, 0u) << "steady-state query flood allocated";
   EXPECT_GT(results, 0u);
+}
+
+TEST(GnutellaAllocation, SteadyStatePingCycleIsAllocationFree) {
+  // The Pong path: every Pong a node receives or forwards goes through
+  // the hostcache (membership check, append or random replacement) and
+  // the pong cache (refresh in place, append, evict the stalest). Both
+  // caches are sized well below the 180 peers so the measured cycles
+  // replace and evict rather than only refresh.
+  sim::Engine engine;
+  const underlay::AsTopology topo =
+      underlay::AsTopology::transit_stub(3, 5, 0.3);
+  underlay::Network net(engine, topo, 21);
+  const auto peers = net.populate(180);
+  overlay::gnutella::Config config;
+  config.hostcache_size = 40;
+  config.pong_cache_capacity = 16;
+  overlay::gnutella::GnutellaSystem system(
+      net, peers,
+      overlay::gnutella::testlab_roles(peers.size(), 2, topo.as_count()),
+      config);
+  system.bootstrap();
+
+  // Warm-up: grows flood tables, pong caches, the engine slab and the
+  // in-flight message pool to their steady-state footprint.
+  for (int i = 0; i < 8; ++i) system.ping_cycle();
+  // Each cycle quiesces for 30 simulated seconds: 16 more stay well
+  // inside an hour of billing windows.
+  net.traffic().reserve_windows(engine.now() + sim::hours(1));
+  auto hostcaches = [&] {
+    std::vector<std::vector<PeerId>> caches;
+    for (const PeerId peer : peers) {
+      const auto cache = system.hostcache_of(peer);
+      caches.emplace_back(cache.begin(), cache.end());
+    }
+    return caches;
+  };
+  const auto caches_before = hostcaches();
+  const std::uint64_t pongs_before = system.counts().pong;
+
+  const std::uint64_t before = testing::allocation_count();
+  for (int i = 0; i < 16; ++i) system.ping_cycle();
+  const std::uint64_t after = testing::allocation_count();
+
+  EXPECT_EQ(after - before, 0u) << "steady-state ping cycle allocated";
+  EXPECT_GT(system.counts().pong, pongs_before);
+  EXPECT_NE(hostcaches(), caches_before)
+      << "measured cycles never replaced a hostcache entry";
 }
 
 TEST(GnutellaAllocation, SteadyStateFloodWithObsEnabledIsAllocationFree) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <vector>
 
 #include "overlay/gnutella.hpp"
 #include "sim/engine.hpp"
@@ -149,15 +151,78 @@ TEST(GnutellaDynamicQuerying, CheaperWhenContentIsEverywhere) {
             full_lab.system->counts().query);
 }
 
+// Every node's hostcache holds at most `limit` distinct members of the
+// system, never the node itself.
+void ExpectHostcacheInvariants(const Lab& lab, std::size_t limit) {
+  const std::set<PeerId> members(lab.peers.begin(), lab.peers.end());
+  for (const PeerId peer : lab.peers) {
+    const auto cache = lab.system->hostcache_of(peer);
+    EXPECT_LE(cache.size(), limit) << "peer " << peer.value();
+    const std::set<PeerId> distinct(cache.begin(), cache.end());
+    EXPECT_EQ(distinct.size(), cache.size())
+        << "duplicate in peer " << peer.value() << "'s hostcache";
+    EXPECT_FALSE(distinct.contains(peer))
+        << "peer " << peer.value() << " caches itself";
+    for (const PeerId entry : cache) {
+      EXPECT_TRUE(members.contains(entry))
+          << "peer " << peer.value() << " caches non-member " << entry.value();
+    }
+  }
+}
+
+std::vector<std::vector<PeerId>> Hostcaches(const Lab& lab) {
+  std::vector<std::vector<PeerId>> caches;
+  for (const PeerId peer : lab.peers) {
+    const auto cache = lab.system->hostcache_of(peer);
+    caches.emplace_back(cache.begin(), cache.end());
+  }
+  return caches;
+}
+
+std::size_t ChangedSince(const Lab& lab,
+                         const std::vector<std::vector<PeerId>>& before) {
+  const auto now = Hostcaches(lab);
+  std::size_t changed = 0;
+  for (std::size_t i = 0; i < now.size(); ++i) changed += now[i] != before[i];
+  return changed;
+}
+
 TEST(GnutellaHostcache, NeverExceedsConfiguredSize) {
+  // 60 peers against a 12-slot hostcache: Pongs keep bringing unknown
+  // addresses, so every cycle exercises random-replacement eviction.
   Config config;
   config.hostcache_size = 12;
   Lab lab(config);
-  for (int cycle = 0; cycle < 4; ++cycle) lab.system->ping_cycle();
-  // Hostcache is internal; probe it indirectly: bootstrap a second system
-  // with the same config — no crash and bounded behaviour is the check
-  // here, plus message counts keep growing (caches keep being refreshed).
-  EXPECT_GT(lab.system->counts().pong, 0u);
+  ExpectHostcacheInvariants(lab, 12);
+  const auto before = Hostcaches(lab);
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    lab.system->ping_cycle();
+    ExpectHostcacheInvariants(lab, 12);
+  }
+  EXPECT_GT(ChangedSince(lab, before), 0u)
+      << "no Pong ever replaced a hostcache entry";
+}
+
+TEST(GnutellaHostcache, RebootstrapKeepsInvariants) {
+  // A second bootstrap refills every hostcache from scratch. With 60
+  // peers against a 58-slot hostcache, each refill leaves every node
+  // exactly one other peer short, so the first Pong about that peer must
+  // replace an entry. Membership state kept from the previous fill would
+  // mark the missing peer as cached and freeze every hostcache.
+  Config config;
+  config.hostcache_size = 58;
+  Lab lab(config);
+  lab.system->ping_cycle();
+  lab.system->bootstrap();
+  ExpectHostcacheInvariants(lab, 58);
+  const auto refilled = Hostcaches(lab);
+  for (const auto& cache : refilled) EXPECT_EQ(cache.size(), 58u);
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    lab.system->ping_cycle();
+    ExpectHostcacheInvariants(lab, 58);
+  }
+  EXPECT_GT(ChangedSince(lab, refilled), 0u)
+      << "no hostcache admitted its missing peer";
 }
 
 }  // namespace
