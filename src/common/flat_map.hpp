@@ -12,7 +12,6 @@
 //  * FlatMap<K, V>   — open-addressing map, integral keys, epoch reset.
 //  * FlatSet<K>      — same, without values.
 //  * ChunkedStore<T> — append-only store with stable element addresses.
-//  * SlotPool<T>     — index-addressed free-list pool with stable slots.
 //  * DenseIndex<Id>  — strong id -> position array over a fixed member list.
 //
 // None of them are thread-safe; like the engine and the routing table,
@@ -254,60 +253,6 @@ class ChunkedStore {
  private:
   std::vector<std::vector<T>> chunks_;
   std::size_t size_ = 0;
-};
-
-/// Free-list pool of default-constructed T slots addressed by index.
-/// acquire() recycles released slots before growing; slot addresses are
-/// stable (chunked storage), so a slot may be filled, then released from
-/// inside code that is still iterating elsewhere in the pool. Steady-state
-/// acquire/release cycles never touch the allocator.
-template <typename T, std::size_t ChunkSize = 64>
-class SlotPool {
-  static_assert(ChunkSize > 0 && (ChunkSize & (ChunkSize - 1)) == 0,
-                "chunk size must be a power of two for cheap indexing");
-
- public:
-  static constexpr std::uint32_t kInvalidIndex = UINT32_MAX;
-
-  /// Returns the index of a free slot (its previous contents are whatever
-  /// the last occupant left — assign before use).
-  std::uint32_t acquire() {
-    if (free_head_ != kInvalidIndex) {
-      const std::uint32_t index = free_head_;
-      free_head_ = next_free_[index];
-      return index;
-    }
-    const std::uint32_t index = static_cast<std::uint32_t>(slot_count_);
-    const std::size_t chunk = slot_count_ / ChunkSize;
-    if (chunk == chunks_.size()) {
-      chunks_.emplace_back();
-      chunks_.back().reserve(ChunkSize);  // data pointer is final
-    }
-    chunks_[chunk].emplace_back();
-    next_free_.push_back(kInvalidIndex);
-    ++slot_count_;
-    return index;
-  }
-
-  void release(std::uint32_t index) {
-    assert(index < slot_count_);
-    next_free_[index] = free_head_;
-    free_head_ = index;
-  }
-
-  [[nodiscard]] T& operator[](std::uint32_t index) {
-    assert(index < slot_count_);
-    return chunks_[index / ChunkSize][index % ChunkSize];
-  }
-
-  /// High-water mark of concurrently live slots (for tests).
-  [[nodiscard]] std::size_t slot_count() const { return slot_count_; }
-
- private:
-  std::vector<std::vector<T>> chunks_;
-  std::vector<std::uint32_t> next_free_;
-  std::size_t slot_count_ = 0;
-  std::uint32_t free_head_ = kInvalidIndex;
 };
 
 /// Position of each member in a fixed member list, indexed directly by the

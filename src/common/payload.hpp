@@ -6,9 +6,10 @@
 // than that — so each flooded message paid one heap allocation just to
 // exist. Payload is the std::any subset the overlays actually use
 // (construct from T, copy/move, typed pointer cast) with a buffer sized
-// for real descriptors: anything up to kInlineCapacity bytes lives in the
-// message itself, larger payloads (e.g. Kademlia FIND_NODE replies that
-// carry vectors) spill to a single owned heap object exactly as before.
+// for real descriptors: anything up to kInlineCapacity bytes (and at most
+// 8-byte aligned) lives in the message itself, larger payloads (e.g.
+// Kademlia FIND_NODE requests and replies that carry vectors) spill to a
+// single owned heap object exactly as before.
 //
 // Type identification is an ops-table pointer per stored type — no RTTI,
 // one comparison per cast. payload_cast<T> mirrors std::any_cast<T>
@@ -32,10 +33,12 @@ inline constexpr char kPayloadTypeTag = 0;
 
 class Payload {
  public:
-  /// Sized for the flooding descriptors (guid + addressing + ttl fits
-  /// with room to spare) while keeping Message small enough that the
-  /// transport's delivery closure stays inside the engine's inline slot.
-  static constexpr std::size_t kInlineCapacity = 24;
+  /// Sized for the flooding descriptors (a u64 guid plus two 32-bit
+  /// fields) while keeping Message at 40 bytes, so the transport's
+  /// delivery closure ({Network*, Message}) fills the engine's 48-byte
+  /// inline slot exactly.
+  static constexpr std::size_t kInlineCapacity = 16;
+  static constexpr std::size_t kInlineAlignment = 8;
 
   Payload() = default;
   Payload(const Payload& other) { copy_from(other); }
@@ -92,7 +95,7 @@ class Payload {
   template <typename T>
   static constexpr bool kFitsInline =
       sizeof(T) <= kInlineCapacity &&
-      alignof(T) <= alignof(std::max_align_t) &&
+      alignof(T) <= kInlineAlignment &&
       std::is_nothrow_move_constructible_v<T>;
 
   template <typename T>
@@ -152,7 +155,7 @@ class Payload {
   template <typename T>
   friend const T* payload_cast(const Payload* payload);
 
-  alignas(std::max_align_t) unsigned char storage_[kInlineCapacity];
+  alignas(kInlineAlignment) unsigned char storage_[kInlineCapacity];
   const Ops* ops_ = nullptr;
 };
 

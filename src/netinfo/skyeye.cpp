@@ -15,8 +15,9 @@ struct ReportPayload {
 struct QueryPayload {
   std::uint64_t query_id;
   PeerId asker;
-  std::size_t k;
+  std::uint32_t k;  ///< 32 bits keep the payload inline (16 bytes).
 };
+static_assert(sizeof(QueryPayload) <= Payload::kInlineCapacity);
 struct QueryReplyPayload {
   std::uint64_t query_id;
   std::vector<CapacityEntry> entries;
@@ -197,7 +198,9 @@ SkyEye::RemoteQueryResult SkyEye::query_remote(PeerId asker, std::size_t k) {
   msg.dst = peers_[0];
   msg.type = msg::kSkyEyeQuery;
   msg.size_bytes = 32;
-  msg.payload = QueryPayload{active_query_->id, asker, k};
+  assert(k <= UINT32_MAX);
+  msg.payload =
+      QueryPayload{active_query_->id, asker, static_cast<std::uint32_t>(k)};
   if (asker == peers_[0]) {
     // The root asking itself answers locally.
     result.entries = query_top_capacity(k);

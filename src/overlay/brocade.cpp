@@ -13,6 +13,8 @@ struct ForwardPayload {
   PeerId final_dst;
   std::uint32_t bytes;
 };
+// Relayed hop by hop: keep it inline so forwarding never allocates.
+static_assert(sizeof(ForwardPayload) <= Payload::kInlineCapacity);
 }  // namespace
 
 BrocadeSystem::BrocadeSystem(underlay::Network& network,

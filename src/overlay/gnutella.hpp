@@ -253,6 +253,12 @@ class GnutellaSystem {
   struct HttpRequestPayload {
     std::uint32_t content;
   };
+  // The flooded descriptors must ride inline in the message: a spilled
+  // payload would cost one allocation per forwarded copy.
+  static_assert(sizeof(PingPayload) <= Payload::kInlineCapacity);
+  static_assert(sizeof(PongPayload) <= Payload::kInlineCapacity);
+  static_assert(sizeof(QueryPayload) <= Payload::kInlineCapacity);
+  static_assert(sizeof(QueryHitPayload) <= Payload::kInlineCapacity);
 
   Node& node(PeerId peer) { return nodes_[index_of_[peer]]; }
   const Node& node(PeerId peer) const { return nodes_[index_of_[peer]]; }

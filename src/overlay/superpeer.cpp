@@ -19,6 +19,8 @@ struct QueryPayload {
   PeerId origin;
   std::uint32_t content;
 };
+// Flooded among super-peers: keep it inline so relaying never allocates.
+static_assert(sizeof(QueryPayload) <= Payload::kInlineCapacity);
 struct ReplyPayload {
   std::uint64_t search_id;
   std::vector<PeerId> providers;

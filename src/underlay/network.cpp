@@ -7,6 +7,11 @@
 
 namespace uap2p::underlay {
 
+// The delivery closure carries the message by value; it must stay inside
+// the engine slot's inline buffer or every send would allocate.
+static_assert(sizeof(Message) + sizeof(Network*) <=
+              sim::detail::EventCallback::kInlineCapacity);
+
 double HostResources::capacity_score() const {
   // Geometric blend; upload bandwidth and uptime dominate because a
   // super-peer must relay traffic and stay reachable.
@@ -218,14 +223,11 @@ bool Network::send(Message msg) {
           : 0.0;
   const sim::SimTime delay = src.access_latency_ms + path.latency_ms +
                              dst.access_latency_ms + transmission_ms;
-  const std::uint32_t slot = in_flight_.acquire();
-  in_flight_[slot] = std::move(msg);
-  engine_.schedule(delay, [this, slot] { deliver(slot); });
+  engine_.schedule(delay, [this, m = std::move(msg)] { deliver(m); });
   return true;
 }
 
-void Network::deliver(std::uint32_t slot) {
-  const Message& delivered = in_flight_[slot];
+void Network::deliver(const Message& delivered) {
   const PeerId dst_id = delivered.dst;
   if (!hosts_[dst_id.value()].online) {
     ++dropped_;
@@ -246,12 +248,11 @@ void Network::deliver(std::uint32_t slot) {
                      delivered.src, dst_id, delivered.type,
                      static_cast<double>(delivered.size_bytes));
     }
-    // Handlers may send() recursively; slot addresses are stable, so
-    // `delivered` stays valid while new in-flight slots are acquired.
+    // Handlers may send() recursively; engine slots never move and the
+    // firing one is not recycled until this returns, so `delivered` stays
+    // valid while new deliveries are scheduled.
     for (const auto& handler : handlers_[dst_id.value()]) handler(delivered);
   }
-  in_flight_[slot].payload.reset();  // free heap payloads promptly
-  in_flight_.release(slot);
 }
 
 std::uint64_t Network::run_until(sim::SimTime until) {

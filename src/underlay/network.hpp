@@ -7,11 +7,12 @@
 // where the intra-AS / transit / peering byte split that the paper's
 // evaluation reasons about comes from.
 //
-// The transport runs over one sim::Engine per scenario. A send parks the
-// message in a recycled slot pool and schedules a delivery event that
-// captures only the slot index, so the steady-state send -> deliver cycle
-// never touches the allocator. Scenarios scale out across trials (one
-// engine per trial, bench::run_trials), not inside one event loop.
+// The transport runs over one sim::Engine per scenario. A send moves the
+// message into its delivery event's closure, which fits the engine slot's
+// inline buffer, so the steady-state send -> deliver cycle never touches
+// the allocator and an in-flight message is one engine slot. Scenarios
+// scale out across trials (one engine per trial, bench::run_trials), not
+// inside one event loop.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/flat_map.hpp"
 #include "common/ids.hpp"
 #include "common/payload.hpp"
 #include "common/rng.hpp"
@@ -67,6 +67,7 @@ struct Host {
 /// the per-type counting that [1]'s Table 1 reports. The payload is a
 /// small-buffer box (common/payload.hpp): descriptor-sized payloads live
 /// inline in the message, so sending one does not touch the allocator.
+/// 40 bytes: the delivery closure carries it by value (network.cpp).
 struct Message {
   PeerId src;
   PeerId dst;
@@ -174,9 +175,9 @@ class Network {
                                       : owned_routing_->path(src, dst);
   }
 
-  /// Executes one delivery out of the in-flight pool (the engine callback
-  /// body).
-  void deliver(std::uint32_t slot);
+  /// Executes one delivery (the engine callback body). `msg` lives in the
+  /// firing event's slot, which stays put through re-entrant sends.
+  void deliver(const Message& msg);
 
   void drop_at_send(const Message& msg, sim::SimTime now);
 
@@ -189,11 +190,6 @@ class Network {
   std::vector<std::vector<Handler>> handlers_;
   std::vector<std::uint32_t> hosts_per_as_;
 
-  // In-flight messages parked in a recycled slot pool. The delivery
-  // closure captures only {this, slot} — small enough for the engine's
-  // inline callback buffer — instead of the whole Message, which would
-  // spill the closure to the heap on every send.
-  SlotPool<Message> in_flight_;
   std::vector<std::uint64_t> delivered_by_type_;
   std::uint64_t dropped_ = 0;
   TrafficAccountant traffic_;

@@ -87,5 +87,23 @@ TEST(EngineAllocation, OversizedCapturesSpillButStillRun) {
   EXPECT_EQ(fired, 1u);  // correctness of the heap-fallback path
 }
 
+TEST(EngineAllocation, OverAlignedCapturesSpillButStillRun) {
+  // The slab keeps slots at one cache line by storing captures 8-byte
+  // aligned; a small but 16-byte-aligned capture must take the heap path.
+  struct alignas(16) Aligned {
+    std::uint64_t* counter = nullptr;
+  };
+  static_assert(sizeof(Aligned) <= detail::EventCallback::kInlineCapacity);
+  Engine engine;
+  std::uint64_t fired = 0;
+  Aligned aligned;
+  aligned.counter = &fired;
+  engine.schedule(1.0, [aligned] { ++*aligned.counter; });
+  engine.run();
+  EXPECT_EQ(fired, 1u);
+  EXPECT_EQ(engine.stats().spilled_callbacks, 1u);
+  EXPECT_EQ(engine.stats().inline_callbacks, 0u);
+}
+
 }  // namespace
 }  // namespace uap2p::sim

@@ -157,28 +157,6 @@ TEST(ChunkedStore, ClearRecyclesChunkStorage) {
   EXPECT_EQ(store[100], 200u);
 }
 
-TEST(SlotPool, RecyclesReleasedSlotsWithoutAllocating) {
-  SlotPool<std::uint64_t, 64> pool;
-  std::vector<std::uint32_t> live;
-  for (int i = 0; i < 200; ++i) live.push_back(pool.acquire());
-  for (const std::uint32_t slot : live) pool.release(slot);
-  const std::size_t high_water = pool.slot_count();
-  const std::uint64_t before = testing::allocation_count();
-  for (int round = 0; round < 20; ++round) {
-    std::vector<std::uint32_t>& again = live;
-    for (std::uint32_t& slot : again) {
-      slot = pool.acquire();
-      pool[slot] = slot;
-    }
-    for (const std::uint32_t slot : again) {
-      EXPECT_EQ(pool[slot], slot);
-      pool.release(slot);
-    }
-  }
-  EXPECT_EQ(testing::allocation_count() - before, 0u);
-  EXPECT_EQ(pool.slot_count(), high_water);
-}
-
 TEST(DenseIndex, MapsEachMemberToItsListPosition) {
   // A member list out of id order, with gaps: the index answers each
   // member's position, and is sized by the largest member value.

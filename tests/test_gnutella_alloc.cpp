@@ -1,9 +1,9 @@
 // Steady-state allocation behaviour of the Gnutella flood path: once the
-// overlay, the per-node flood tables, the network's in-flight message
-// pool, and the traffic accountant's billing windows are warm, a full
-// query flood (Query out, QueryHit back, route-back delivery) or ping
-// cycle (Ping out, Pongs back into hostcaches and pong caches) must not
-// touch the global allocator at all. This is the overlay-level
+// overlay, the per-node flood tables, the engine slab, and the traffic
+// accountant's billing windows are warm, a full query flood (Query out,
+// QueryHit back, route-back delivery) or ping cycle (Ping out, Pongs back
+// into hostcaches and pong caches) must not touch the global allocator
+// at all. This is the overlay-level
 // counterpart of test_engine_alloc.cpp and guards the flat-table rewrite
 // of GnutellaSystem.
 #include <gtest/gtest.h>
@@ -47,10 +47,9 @@ TEST(GnutellaAllocation, SteadyStateQueryFloodIsAllocationFree) {
         .result_count;
   };
 
-  // Warm-up: grows flood tables, fan-out scratch, the engine slab, the
-  // in-flight message pool, and per-type delivery counters to their
-  // steady-state footprint. Rotate far enough that every measured origin
-  // has floods behind it.
+  // Warm-up: grows flood tables, fan-out scratch, the engine slab, and
+  // per-type delivery counters to their steady-state footprint. Rotate
+  // far enough that every measured origin has floods behind it.
   for (int i = 0; i < 8; ++i) {
     ASSERT_GT(do_search(), 0u);
   }
@@ -88,8 +87,8 @@ TEST(GnutellaAllocation, SteadyStatePingCycleIsAllocationFree) {
       config);
   system.bootstrap();
 
-  // Warm-up: grows flood tables, pong caches, the engine slab and the
-  // in-flight message pool to their steady-state footprint.
+  // Warm-up: grows flood tables, pong caches and the engine slab (which
+  // holds every in-flight message) to their steady-state footprint.
   for (int i = 0; i < 8; ++i) system.ping_cycle();
   // Each cycle quiesces for 30 simulated seconds: 16 more stay well
   // inside an hour of billing windows.
@@ -110,6 +109,9 @@ TEST(GnutellaAllocation, SteadyStatePingCycleIsAllocationFree) {
   const std::uint64_t after = testing::allocation_count();
 
   EXPECT_EQ(after - before, 0u) << "steady-state ping cycle allocated";
+  // Every delivery closure carries its whole Message; none may spill out
+  // of the engine slot.
+  EXPECT_EQ(engine.stats().spilled_callbacks, 0u);
   EXPECT_GT(system.counts().pong, pongs_before);
   EXPECT_NE(hostcaches(), caches_before)
       << "measured cycles never replaced a hostcache entry";
